@@ -50,9 +50,6 @@ class EpochMetrics:
             if getattr(self, field.name) < 0:
                 raise ValueError(f"{field.name} must be >= 0")
 
-    def replace(self, **changes: float) -> "EpochMetrics":
-        return dataclasses.replace(self, **changes)
-
 
 @dataclasses.dataclass(frozen=True)
 class EpochEstimate:

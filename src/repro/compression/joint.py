@@ -13,19 +13,20 @@ Actions:
   follow-up compression action for i);
 - *compress(i)*: deflate sample i's offloaded payload on the storage node.
 
-Both are ranked by bytes saved per storage-CPU-second, admitted while the
-network stays predominant and the epoch estimate improves -- the same
-discipline as the sequential planners, in one queue.
+Both are ranked by bytes saved per storage-CPU-second and admitted in one
+queue by the planners' shared loop (:func:`repro.core.admission.admit`).
 """
 
 import dataclasses
 import heapq
-from typing import Dict, Optional, Sequence
+import itertools
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.epoch_model import EpochMetrics, EpochModel
+from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
 from repro.compression.codecs import CompressionModel
 from repro.compression.selective import CompressionDecision, CompressionPlan, stage_kinds
+from repro.core.admission import Action, admit, check_record_order, offload_action
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.pipeline import Pipeline
 from repro.preprocessing.records import SampleRecord
@@ -61,6 +62,7 @@ class JointPlanner:
         gpu_time_s: float,
         overhead_bytes: Optional[int] = None,
     ) -> JointPlan:
+        check_record_order(records)
         num_samples = len(records)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
@@ -98,71 +100,50 @@ class JointPlanner:
                 compute_cpu_s=self.model.decompress_seconds(kind, wire),
             )
 
-        # Heap entries: (-efficiency, seq, kind, record/decision)
-        heap = []
-        seq = 0
-        for record in records:
-            if record.offload_efficiency > 0:
-                heapq.heappush(
-                    heap, (-record.offload_efficiency, seq, "offload", record)
-                )
-                seq += 1
+        # Heap entries: (-efficiency, unique seq, record or decision).
+        seq = itertools.count()
+        heap: List[Tuple[float, int, Union[SampleRecord, CompressionDecision]]] = [
+            (-record.offload_efficiency, next(seq), record)
+            for record in records
+            if record.offload_efficiency > 0
+        ]
+        heapq.heapify(heap)
+        popped: List[Union[SampleRecord, CompressionDecision]] = []
+
+        def actions() -> Iterator[Action]:
+            while heap:
+                item = heapq.heappop(heap)[2]
+                popped.append(item)
+                yield item.action if isinstance(item, CompressionDecision) else offload_action(item)
 
         splits = [0] * num_samples
         decisions: Dict[int, CompressionDecision] = {}
-        accepted_offloads = accepted_compressions = 0
-        reason = "exhausted candidate actions"
 
-        while heap:
-            estimate = epoch_model.estimate(metrics)
-            if not estimate.network_bound:
-                reason = (
-                    "network no longer predominant (bottleneck: "
-                    f"{estimate.bottleneck.value})"
-                )
-                break
-            _, _, action, payload = heapq.heappop(heap)
-            if action == "offload":
-                record = payload
-                split = record.min_stage
-                moved = record.prefix_cost(split)
-                trial = metrics.replace(
-                    compute_cpu_s=metrics.compute_cpu_s - moved,
-                    storage_cpu_s=metrics.storage_cpu_s + moved,
-                    traffic_bytes=metrics.traffic_bytes - record.savings(split),
-                )
-                if (
-                    epoch_model.estimate(trial).epoch_time_s
-                    > estimate.epoch_time_s + 1e-9
-                ):
-                    continue
-                splits[record.sample_id] = split
-                metrics = trial
-                accepted_offloads += 1
-                # Offloading unlocks compressing this sample's payload.
-                follow_up = compress_action(record)
-                if follow_up is not None:
-                    heapq.heappush(
-                        heap, (-follow_up.efficiency, seq, "compress", follow_up)
-                    )
-                    seq += 1
-            else:
-                decision = payload
-                trial = metrics.replace(
-                    storage_cpu_s=metrics.storage_cpu_s + decision.storage_cpu_s,
-                    compute_cpu_s=metrics.compute_cpu_s + decision.compute_cpu_s,
-                    traffic_bytes=metrics.traffic_bytes - decision.saved_bytes,
-                )
-                if (
-                    epoch_model.estimate(trial).epoch_time_s
-                    > estimate.epoch_time_s + 1e-9
-                ):
-                    continue
-                decisions[decision.sample_id] = decision
-                metrics = trial
-                accepted_compressions += 1
+        def visit(
+            index: int,
+            before: EpochMetrics,
+            estimate: EpochEstimate,
+            rejected: Optional[EpochEstimate],
+        ) -> None:
+            if rejected is not None:
+                return
+            item = popped[index]
+            if isinstance(item, CompressionDecision):
+                decisions[item.sample_id] = item
+                return
+            splits[item.sample_id] = item.min_stage
+            # Offloading unlocks compressing this sample's payload.
+            follow_up = compress_action(item)
+            if follow_up is not None:
+                heapq.heappush(heap, (-follow_up.efficiency, next(seq), follow_up))
 
-        final = epoch_model.estimate(metrics)
+        _, final, admitted, stop_index = admit(epoch_model, metrics, actions(), True, visit)
+        if stop_index is None:
+            reason = "exhausted candidate actions"
+        else:
+            reason = f"network no longer predominant (bottleneck: {final.bottleneck.value})"
+        accepted_compressions = len(decisions)
+        accepted_offloads = len(admitted) - accepted_compressions
         return JointPlan(
             offload=OffloadPlan(
                 splits=splits,

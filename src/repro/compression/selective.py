@@ -5,8 +5,8 @@ payload crosses the wire uncompressed (uint8 pixels or float tensors), the
 storage node can spend extra CPU to deflate the payload and the compute
 node extra CPU to inflate it.  The planner greedily compresses the samples
 with the highest bytes-saved-per-storage-CPU-second while the network
-remains the predominant metric and the epoch estimate keeps improving --
-the same discipline as the offload engine itself.
+remains the predominant metric and the epoch estimate does not worsen --
+the offload engine's own admission loop (:mod:`repro.core.admission`).
 """
 
 import dataclasses
@@ -16,6 +16,7 @@ from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import WorkAdjustment
 from repro.compression.codecs import CompressionModel
+from repro.core.admission import Action, admit, check_record_order
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.payload import PayloadKind
 from repro.preprocessing.pipeline import Pipeline
@@ -37,6 +38,11 @@ class CompressionDecision:
         if self.storage_cpu_s <= 0:
             return float("inf")
         return self.saved_bytes / self.storage_cpu_s
+
+    @property
+    def action(self) -> Action:
+        """Admission-loop deltas: extra CPU on both nodes, fewer wire bytes."""
+        return self.sample_id, self.compute_cpu_s, self.storage_cpu_s, -self.saved_bytes
 
 
 @dataclasses.dataclass
@@ -87,6 +93,7 @@ class SelectiveCompressor:
         gpu_time_s: float,
         overhead_bytes: Optional[int] = None,
     ) -> CompressionPlan:
+        check_record_order(records)
         if len(records) != len(offload_plan):
             raise ValueError(
                 f"records cover {len(records)} samples, plan has {len(offload_plan)}"
@@ -136,27 +143,16 @@ class SelectiveCompressor:
             )
         candidates.sort(key=lambda d: d.efficiency, reverse=True)
 
-        decisions: Dict[int, CompressionDecision] = {}
-        reason = "exhausted compressible candidates"
-        for decision in candidates:
-            estimate = epoch_model.estimate(metrics)
-            if not estimate.network_bound:
-                reason = (
-                    f"network no longer predominant after {len(decisions)} samples"
-                )
-                break
-            trial = metrics.replace(
-                storage_cpu_s=metrics.storage_cpu_s + decision.storage_cpu_s,
-                compute_cpu_s=metrics.compute_cpu_s + decision.compute_cpu_s,
-                traffic_bytes=metrics.traffic_bytes - decision.saved_bytes,
-            )
-            if epoch_model.estimate(trial).epoch_time_s > estimate.epoch_time_s + 1e-9:
-                continue
-            decisions[decision.sample_id] = decision
-            metrics = trial
-
+        _, final, admitted, stop_index = admit(
+            epoch_model, metrics, (d.action for d in candidates), True
+        )
+        decisions = {candidates[i].sample_id: candidates[i] for i in admitted}
+        if stop_index is None:
+            reason = "exhausted compressible candidates"
+        else:
+            reason = f"network no longer predominant after {len(decisions)} samples"
         return CompressionPlan(
             decisions=decisions,
             reason=f"compressed {len(decisions)}/{len(records)} samples; {reason}",
-            expected=epoch_model.estimate(metrics),
+            expected=final,
         )

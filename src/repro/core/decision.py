@@ -13,6 +13,8 @@ addition would *raise* the analytic epoch estimate (a prefix so expensive
 that T_CS overshoots the network time it saves); this keeps the plan
 monotone under severe storage-CPU scarcity and is ablated in the extension
 benchmarks.
+
+The loop itself is :func:`repro.core.admission.admit`, shared by all planners.
 """
 
 import dataclasses
@@ -21,6 +23,7 @@ from typing import Optional, Sequence, Tuple
 
 from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
+from repro.core.admission import admit, check_record_order, offload_action
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.records import SampleRecord
 from repro.telemetry.audit import (
@@ -69,8 +72,8 @@ def _budget_state(
 class DecisionConfig:
     """Engine knobs.
 
-    never_worsen: skip samples whose offload would raise the epoch estimate.
-    epsilon_s: tolerance when comparing epoch estimates.
+    never_worsen: skip samples whose offload would raise the epoch estimate
+        (by more than the admission loop's fixed 1e-9 s tolerance).
     order: candidate ranking -- "efficiency" (the paper's bytes saved per
         CPU-second), "savings" (absolute bytes saved; ignores CPU cost), or
         "arrival" (sample-id order; no ranking at all).  The alternatives
@@ -79,7 +82,6 @@ class DecisionConfig:
     """
 
     never_worsen: bool = True
-    epsilon_s: float = 1e-9
     order: str = "efficiency"
 
     _ORDERS = ("efficiency", "savings", "arrival")
@@ -116,12 +118,8 @@ class DecisionEngine:
         tracer: when given, each sample's decision is emitted as an instant
             event on its epoch-0 trace (the plan applies to every epoch).
         """
+        check_record_order(records)
         num_samples = len(records)
-        if any(r.sample_id != i for i, r in enumerate(records)):
-            raise ValueError(
-                "records must be ordered by sample id covering 0..n-1 "
-                "(as produced by the stage-two profiler)"
-            )
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
 
@@ -136,7 +134,7 @@ class DecisionEngine:
             chosen: int,
             outcome: str,
             reason: str,
-            budget: Optional[BudgetState] = None,
+            budget: Optional[Tuple[int, EpochMetrics, EpochEstimate]] = None,
             rank: Optional[int] = None,
         ) -> None:
             outcomes.inc(outcome=outcome)
@@ -151,7 +149,7 @@ class DecisionEngine:
                         efficiency_rank=rank,
                         outcome=outcome,
                         reason=reason,
-                        budget=budget,
+                        budget=None if budget is None else _budget_state(*budget),
                     )
                 )
             if tracer is not None:
@@ -182,19 +180,19 @@ class DecisionEngine:
             ),
         )
 
-        beneficial = [r for r in records if r.offload_efficiency > 0]
+        efficiency = [r.offload_efficiency for r in records]
+        beneficial = [r for r in records if efficiency[r.sample_id] > 0]
         if self.config.order == "efficiency":
             candidates = sorted(
-                beneficial, key=lambda r: r.offload_efficiency, reverse=True
+                beneficial, key=lambda r: efficiency[r.sample_id], reverse=True
             )
         elif self.config.order == "savings":
             candidates = sorted(beneficial, key=lambda r: r.best_savings, reverse=True)
         else:  # arrival order
-            candidates = sorted(beneficial, key=lambda r: r.sample_id)
+            candidates = beneficial
 
-        ranked = {r.sample_id: i + 1 for i, r in enumerate(candidates)}
         for record in records:
-            if record.sample_id not in ranked:
+            if not efficiency[record.sample_id] > 0:
                 note(
                     record,
                     0,
@@ -209,68 +207,48 @@ class DecisionEngine:
                 expected=model.estimate(metrics),
             )
 
+        offloaded = f"best remaining candidate (order={self.config.order}) while network-bound"
         accepted = 0
-        skipped = 0
-        stopped_at = len(candidates)
-        reason = "exhausted candidates with positive efficiency"
-        for index, record in enumerate(candidates):
-            estimate = model.estimate(metrics)
-            if not estimate.network_bound:
-                reason = (
-                    "network no longer predominant (bottleneck: "
-                    f"{estimate.bottleneck.value}) after {accepted} samples"
-                )
-                stopped_at = index
-                break
-            budget = _budget_state(accepted, metrics, estimate)
-            split = record.min_stage
-            moved_cpu = record.prefix_cost(split)
-            # The prefix work moves from the compute node to the storage
-            # node; the sample's remaining ops still run locally.
-            trial = metrics.replace(
-                compute_cpu_s=metrics.compute_cpu_s - moved_cpu,
-                storage_cpu_s=metrics.storage_cpu_s + moved_cpu,
-                traffic_bytes=metrics.traffic_bytes - record.savings(split),
-            )
-            if self.config.never_worsen:
-                post = model.estimate(trial)
-                if post.epoch_time_s > estimate.epoch_time_s + self.config.epsilon_s:
-                    skipped += 1
-                    note(
-                        record,
-                        0,
-                        SKIPPED_WOULD_WORSEN,
-                        "offload would raise the epoch estimate "
-                        f"{estimate.epoch_time_s:.6f}s -> {post.epoch_time_s:.6f}s",
-                        budget=budget,
-                        rank=ranked[record.sample_id],
-                    )
-                    continue
-            splits[record.sample_id] = split
-            metrics = trial
-            accepted += 1
-            note(
-                record,
-                split,
-                OFFLOADED,
-                f"best remaining candidate (order={self.config.order}) "
-                "while network-bound",
-                budget=budget,
-                rank=ranked[record.sample_id],
-            )
-        final_estimate = model.estimate(metrics)
-        for record in candidates[stopped_at:]:
-            note(
-                record,
-                0,
-                PLANNING_STOPPED,
-                reason,
-                budget=_budget_state(accepted, metrics, final_estimate),
-                rank=ranked[record.sample_id],
-            )
 
-        final = final_estimate
-        note_text = f"offloaded {accepted}/{num_samples} samples"
+        def visit(
+            index: int,
+            before: EpochMetrics,
+            estimate: EpochEstimate,
+            rejected: Optional[EpochEstimate],
+        ) -> None:
+            nonlocal accepted
+            record = candidates[index]
+            budget = (accepted, before, estimate)
+            if rejected is not None:
+                reason = (
+                    "offload would raise the epoch estimate "
+                    f"{estimate.epoch_time_s:.6f}s -> {rejected.epoch_time_s:.6f}s"
+                )
+                note(record, 0, SKIPPED_WOULD_WORSEN, reason, budget, index + 1)
+                return
+            split = record.min_stage
+            splits[record.sample_id] = split
+            accepted += 1
+            note(record, split, OFFLOADED, offloaded, budget, index + 1)
+
+        actions = (offload_action(r) for r in candidates)
+        metrics, final, admitted, stop_index = admit(
+            model, metrics, actions, self.config.never_worsen, visit
+        )
+        if stop_index is None:
+            stopped_at = len(candidates)
+            reason = "exhausted candidates with positive efficiency"
+        else:
+            stopped_at = stop_index
+            reason = (
+                "network no longer predominant (bottleneck: "
+                f"{final.bottleneck.value}) after {len(admitted)} samples"
+            )
+        for rank, record in enumerate(candidates[stopped_at:], start=stopped_at + 1):
+            note(record, 0, PLANNING_STOPPED, reason, (len(admitted), metrics, final), rank)
+
+        skipped = stopped_at - len(admitted)
+        note_text = f"offloaded {len(admitted)}/{num_samples} samples"
         if skipped:
             note_text += f", skipped {skipped} (would worsen epoch estimate)"
         logger.info(

@@ -23,11 +23,12 @@ to fidelity-free planning, gated by ``tests/core/test_fidelity.py``.
 
 import dataclasses
 import logging
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 from repro.cluster.epoch_model import EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
-from repro.core.decision import DecisionConfig, DecisionEngine
+from repro.core.admission import admit
+from repro.core.decision import DecisionEngine
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
 from repro.telemetry.audit import FIDELITY_DEGRADED, AuditLog
@@ -167,10 +168,6 @@ class FidelityPlanner:
                 + overhead_bytes * len(records)
             ),
         )
-        model = EpochModel(spec)
-        if not model.estimate(metrics).network_bound:
-            return base
-
         rungs: List[_Rung] = []
         for record, split in zip(records, base.splits):
             if split != 0 or not isinstance(record, ProgressiveSampleRecord):
@@ -178,33 +175,22 @@ class FidelityPlanner:
             rung = self._best_rung(record)
             if rung is not None:
                 rungs.append(rung)
-        if not rungs:
-            return base
         rungs.sort(key=lambda r: (-r.efficiency, r.record.sample_id))
 
+        # Truncation moves no CPU and only removes bytes, so no guard.
+        actions = ((r.record.sample_id, 0.0, 0.0, -r.saved_bytes) for r in rungs)
+        _, final, admitted, stop_index = admit(EpochModel(spec), metrics, actions, False)
+        accepted = len(admitted)
+        if accepted == 0:
+            return base
+        scan_counts: List[Optional[int]] = [None] * len(records)
         degraded = get_default_registry().counter(
             "fidelity_degraded_total",
             "samples planned at reduced fidelity (truncated scan prefix)",
         )
-        scan_counts: List[Optional[int]] = [None] * len(records)
-        accepted = 0
-        saved_total = 0
-        reason = "exhausted degradable samples"
-        for rung in rungs:
-            estimate = model.estimate(metrics)
-            if not estimate.network_bound:
-                reason = (
-                    "network no longer predominant (bottleneck: "
-                    f"{estimate.bottleneck.value}) after {accepted} degradations"
-                )
-                break
+        for rung in rungs[:accepted]:
             sample_id = rung.record.sample_id
             scan_counts[sample_id] = rung.scan_count
-            metrics = metrics.replace(
-                traffic_bytes=metrics.traffic_bytes - rung.saved_bytes
-            )
-            accepted += 1
-            saved_total += rung.saved_bytes
             degraded.inc()
             if audit is not None and sample_id in audit:
                 previous = audit.get(sample_id)
@@ -228,10 +214,14 @@ class FidelityPlanner:
                     scan_count=rung.scan_count,
                     psnr_db=rung.psnr_db,
                 )
-        if accepted == 0:
-            return base
-
-        final = model.estimate(metrics)
+        if stop_index is None:
+            reason = "exhausted degradable samples"
+        else:
+            reason = (
+                "network no longer predominant (bottleneck: "
+                f"{final.bottleneck.value}) after {accepted} degradations"
+            )
+        saved_total = sum(r.saved_bytes for r in rungs[:accepted])
         logger.info(
             "fidelity: degraded %d/%d samples, saved %dB; %s",
             accepted,
@@ -248,28 +238,3 @@ class FidelityPlanner:
             expected=final,
             scan_counts=scan_counts,
         )
-
-
-def plan_with_fidelity(
-    records: Sequence[SampleRecord],
-    spec: ClusterSpec,
-    gpu_time_s: float,
-    *,
-    decision_config: Optional[DecisionConfig] = None,
-    fidelity_config: Optional[FidelityConfig] = None,
-    overhead_bytes: Optional[int] = None,
-    audit: Optional[AuditLog] = None,
-    tracer: Optional[Tracer] = None,
-) -> OffloadPlan:
-    """Convenience wrapper: one call for the full two-axis plan."""
-    engine = DecisionEngine(
-        decision_config if decision_config is not None else DecisionConfig()
-    )
-    return FidelityPlanner(engine, fidelity_config).plan(
-        records,
-        spec,
-        gpu_time_s,
-        overhead_bytes=overhead_bytes,
-        audit=audit,
-        tracer=tracer,
-    )

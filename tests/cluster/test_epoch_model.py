@@ -80,9 +80,3 @@ class TestEstimate:
         assert est.epoch_time_s >= est.t_cc
         assert est.epoch_time_s >= est.t_cs
         assert est.epoch_time_s >= est.t_net
-
-    def test_replace(self):
-        m = metrics()
-        m2 = m.replace(traffic_bytes=5.0)
-        assert m2.traffic_bytes == 5.0
-        assert m2.gpu_time_s == m.gpu_time_s

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.spec import standard_cluster
 from repro.core.decision import DecisionEngine
-from repro.core.fidelity import FidelityConfig, FidelityPlanner, plan_with_fidelity
+from repro.core.fidelity import FidelityConfig, FidelityPlanner
 from repro.core.plan import OffloadPlan
 from repro.core.serialize import (
     plan_from_json,
@@ -155,11 +155,6 @@ class TestFidelityPass:
             assert entry.fidelity_psnr_db == pytest.approx(33.0)
             assert "was " in entry.reason
         assert "fidelity" in audit.explain(degraded_ids[0])
-
-    def test_convenience_wrapper_matches_planner(self, records, tight_spec):
-        direct = FidelityPlanner().plan(records, tight_spec, gpu_time_s=0.01)
-        wrapped = plan_with_fidelity(records, tight_spec, 0.01)
-        assert plan_to_json(wrapped) == plan_to_json(direct)
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

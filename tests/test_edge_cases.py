@@ -4,7 +4,11 @@ import numpy as np
 import pytest
 
 from repro.cluster.spec import standard_cluster
+from repro.compression import JointPlanner, SelectiveCompressor
 from repro.core.decision import DecisionEngine
+from repro.core.fidelity import FidelityPlanner
+from repro.core.plan import OffloadPlan
+from repro.preprocessing.pipeline import standard_pipeline
 from repro.preprocessing.records import SampleRecord
 
 
@@ -25,6 +29,27 @@ class TestDecisionInputValidation:
     def test_empty_records_ok(self):
         plan = DecisionEngine().plan([], standard_cluster(), gpu_time_s=0.1)
         assert len(plan) == 0
+
+    @pytest.mark.parametrize("ids", [[1, 2, 3], [0, 0, 1]], ids=["one-based", "duplicate"])
+    @pytest.mark.parametrize("planner", ["selective", "joint", "fidelity"])
+    def test_every_planner_rejects_misnumbered_records(self, planner, ids):
+        # Offload-worthy records (decode shrinks them), so a planner that
+        # skipped the check would index past the plan or overwrite a split.
+        records = [
+            SampleRecord(i, (100_000, 400_000, 50, 50, 200, 200), (0.001,) * 5)
+            for i in ids
+        ]
+        spec = standard_cluster()
+        pipeline = standard_pipeline()
+        with pytest.raises(ValueError, match="ordered by sample id"):
+            if planner == "selective":
+                SelectiveCompressor().plan(
+                    records, OffloadPlan(splits=[2, 2, 2]), pipeline, spec, 0.1
+                )
+            elif planner == "joint":
+                JointPlanner().plan(records, pipeline, spec, gpu_time_s=0.1)
+            else:
+                FidelityPlanner().plan(records, spec, gpu_time_s=0.1)
 
 
 class TestBaselinesOnOtherPipelines:
