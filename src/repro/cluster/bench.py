@@ -374,7 +374,7 @@ def bench_million(
 
 def build_records_vectorized_entry(
     pipeline: Any, dataset: Any, seed: int
-) -> List[Any]:
+) -> Sequence[Any]:
     """The vectorized stage-two profiling pass (one seam for tests)."""
     return build_records(pipeline, dataset, seed=seed, parallel="vectorized")
 

@@ -16,6 +16,7 @@ queueing and pipeline fill).
 
 import dataclasses
 import enum
+from typing import Tuple
 
 from repro.cluster.spec import ClusterSpec
 
@@ -93,20 +94,40 @@ class EpochModel:
 
     def __init__(self, spec: ClusterSpec) -> None:
         self.spec = spec
+        self._bandwidth_bytes_per_s = spec.bandwidth_bytes_per_s
 
-    def estimate(self, metrics: EpochMetrics) -> EpochEstimate:
+    def times(
+        self,
+        gpu_time_s: float,
+        compute_cpu_s: float,
+        storage_cpu_s: float,
+        traffic_bytes: float,
+    ) -> Tuple[float, float, float, float]:
+        """``(t_g, t_cc, t_cs, t_net)`` for aggregate work given as floats.
+
+        The scalar form the admission loop calls once per candidate;
+        :meth:`estimate` wraps it, so the formula lives here only.
+        """
         spec = self.spec
-        t_cc = metrics.compute_cpu_s * spec.compute_cpu_factor / spec.compute_cores
-        if metrics.storage_cpu_s > 0 and spec.storage_cores == 0:
+        t_cc = compute_cpu_s * spec.compute_cpu_factor / spec.compute_cores
+        if storage_cpu_s > 0 and spec.storage_cores == 0:
             raise ValueError("storage work scheduled on a cluster with 0 storage cores")
         t_cs = (
             0.0
-            if metrics.storage_cpu_s == 0
-            else metrics.storage_cpu_s * spec.storage_cpu_factor / spec.storage_cores
+            if storage_cpu_s == 0
+            else storage_cpu_s * spec.storage_cpu_factor / spec.storage_cores
         )
-        t_net = metrics.traffic_bytes / spec.bandwidth_bytes_per_s
+        t_net = traffic_bytes / self._bandwidth_bytes_per_s
+        return gpu_time_s, t_cc, t_cs, t_net
+
+    def estimate(self, metrics: EpochMetrics) -> EpochEstimate:
         return EpochEstimate(
-            t_g=metrics.gpu_time_s, t_cc=t_cc, t_cs=t_cs, t_net=t_net
+            *self.times(
+                metrics.gpu_time_s,
+                metrics.compute_cpu_s,
+                metrics.storage_cpu_s,
+                metrics.traffic_bytes,
+            )
         )
 
     def epoch_time_s(self, metrics: EpochMetrics) -> float:

@@ -22,14 +22,23 @@ import heapq
 import itertools
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
+import numpy as np
+
+from repro.cluster.epoch_model import EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
 from repro.compression.codecs import CompressionModel
 from repro.compression.selective import CompressionDecision, CompressionPlan, stage_kinds
-from repro.core.admission import Action, admit, check_record_order, offload_action
+from repro.core.admission import (
+    Action,
+    Times,
+    Work,
+    admit,
+    check_record_order,
+    offload_actions,
+)
 from repro.core.plan import OffloadPlan
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 
 
 @dataclasses.dataclass
@@ -62,8 +71,9 @@ class JointPlanner:
         gpu_time_s: float,
         overhead_bytes: Optional[int] = None,
     ) -> JointPlan:
-        check_record_order(records)
-        num_samples = len(records)
+        table = RecordTable.of(records)
+        check_record_order(table)
+        num_samples = len(table)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
         if not spec.can_offload:
@@ -78,52 +88,54 @@ class JointPlanner:
         epoch_model = EpochModel(spec)
         metrics = EpochMetrics(
             gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(r.total_cost for r in records),
+            compute_cpu_s=sum(table.total_cost.tolist()),
             storage_cpu_s=0.0,
             traffic_bytes=float(
-                sum(r.raw_size for r in records) + overhead_bytes * num_samples
+                sum(table.sizes[:, 0].tolist()) + overhead_bytes * num_samples
             ),
         )
+        min_stage = table.min_stage.tolist()
+        offloads = list(offload_actions(table, np.arange(num_samples)))
 
-        def compress_action(record: SampleRecord) -> Optional[CompressionDecision]:
-            split = record.min_stage
+        def compress_action(sample_id: int) -> Optional[CompressionDecision]:
+            split = min_stage[sample_id]
             kind = kinds[split]
-            wire = record.size_at(split)
+            wire = int(table.sizes[sample_id, split])
             saved = self.model.savings_bytes(kind, wire)
             if saved <= 0:
                 return None
             return CompressionDecision(
-                sample_id=record.sample_id,
+                sample_id=sample_id,
                 kind=kind,
                 saved_bytes=saved,
                 storage_cpu_s=self.model.compress_seconds(kind, wire),
                 compute_cpu_s=self.model.decompress_seconds(kind, wire),
             )
 
-        # Heap entries: (-efficiency, unique seq, record or decision).
-        seq = itertools.count()
-        heap: List[Tuple[float, int, Union[SampleRecord, CompressionDecision]]] = [
-            (-record.offload_efficiency, next(seq), record)
-            for record in records
-            if record.offload_efficiency > 0
-        ]
+        # Heap entries: (-efficiency, unique seq, sample id or decision).
+        beneficial = np.flatnonzero(table.efficiency > 0)
+        heap: List[Tuple[float, int, Union[int, CompressionDecision]]] = list(
+            zip(
+                (-table.efficiency[beneficial]).tolist(),
+                range(len(beneficial)),
+                beneficial.tolist(),
+            )
+        )
         heapq.heapify(heap)
-        popped: List[Union[SampleRecord, CompressionDecision]] = []
+        seq = itertools.count(len(heap))
+        popped: List[Union[int, CompressionDecision]] = []
 
         def actions() -> Iterator[Action]:
             while heap:
                 item = heapq.heappop(heap)[2]
                 popped.append(item)
-                yield item.action if isinstance(item, CompressionDecision) else offload_action(item)
+                yield item.action if isinstance(item, CompressionDecision) else offloads[item]
 
         splits = [0] * num_samples
         decisions: Dict[int, CompressionDecision] = {}
 
         def visit(
-            index: int,
-            before: EpochMetrics,
-            estimate: EpochEstimate,
-            rejected: Optional[EpochEstimate],
+            index: int, work: Work, times: Times, rejected: Optional[Times]
         ) -> None:
             if rejected is not None:
                 return
@@ -131,7 +143,7 @@ class JointPlanner:
             if isinstance(item, CompressionDecision):
                 decisions[item.sample_id] = item
                 return
-            splits[item.sample_id] = item.min_stage
+            splits[item] = min_stage[item]
             # Offloading unlocks compressing this sample's payload.
             follow_up = compress_action(item)
             if follow_up is not None:

@@ -19,13 +19,15 @@ The loop itself is :func:`repro.core.admission.admit`, shared by all planners.
 
 import dataclasses
 import logging
-from typing import Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.cluster.epoch_model import EpochEstimate, EpochMetrics, EpochModel
 from repro.cluster.spec import ClusterSpec
-from repro.core.admission import admit, check_record_order, offload_action
+from repro.core.admission import Times, Work, admit, check_record_order, offload_actions
 from repro.core.plan import OffloadPlan
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable, SampleRecord
 from repro.telemetry.audit import (
     NOT_BENEFICIAL,
     OFFLOADED,
@@ -118,8 +120,9 @@ class DecisionEngine:
         tracer: when given, each sample's decision is emitted as an instant
             event on its epoch-0 trace (the plan applies to every epoch).
         """
-        check_record_order(records)
-        num_samples = len(records)
+        table = RecordTable.of(records)
+        check_record_order(table)
+        num_samples = len(table)
         if overhead_bytes is None:
             overhead_bytes = spec.response_overhead_bytes
 
@@ -129,19 +132,26 @@ class DecisionEngine:
             labels=["outcome"],
         )
 
+        def count(tallies: Dict[str, int]) -> None:
+            for outcome, samples in tallies.items():
+                if samples:
+                    outcomes.inc(amount=samples, outcome=outcome)
+
+        explain = audit is not None or tracer is not None
+
         def note(
-            record: SampleRecord,
+            sample_id: int,
             chosen: int,
             outcome: str,
             reason: str,
-            budget: Optional[Tuple[int, EpochMetrics, EpochEstimate]] = None,
+            budget: Optional[BudgetState] = None,
             rank: Optional[int] = None,
         ) -> None:
-            outcomes.inc(outcome=outcome)
             if audit is not None:
+                record = table[sample_id]
                 audit.add(
                     DecisionRecord(
-                        sample_id=record.sample_id,
+                        sample_id=sample_id,
                         candidates=_candidate_splits(record),
                         chosen_split=chosen,
                         best_split=record.min_stage,
@@ -149,12 +159,12 @@ class DecisionEngine:
                         efficiency_rank=rank,
                         outcome=outcome,
                         reason=reason,
-                        budget=None if budget is None else _budget_state(*budget),
+                        budget=budget,
                     )
                 )
             if tracer is not None:
                 tracer.instant(
-                    trace_id(record.sample_id, 0),
+                    trace_id(sample_id, 0),
                     "decision",
                     outcome=outcome,
                     split=chosen,
@@ -163,46 +173,52 @@ class DecisionEngine:
 
         if not spec.can_offload:
             reason = "storage node has no CPU cores for offloading"
-            for record in records:
-                note(record, 0, PLANNING_STOPPED, reason)
+            count({PLANNING_STOPPED: num_samples})
+            if explain:
+                for sample_id in range(num_samples):
+                    note(sample_id, 0, PLANNING_STOPPED, reason)
             return OffloadPlan.no_offload(num_samples, reason=reason)
 
         model = EpochModel(spec)
-        splits = [0] * num_samples
 
-        # Baseline: everything fetched raw, all preprocessing local.
+        # Baseline: everything fetched raw, all preprocessing local.  The
+        # builtin sum over Python floats keeps the interpreter's summation.
         metrics = EpochMetrics(
             gpu_time_s=gpu_time_s,
-            compute_cpu_s=sum(r.total_cost for r in records),
+            compute_cpu_s=sum(table.total_cost.tolist()),
             storage_cpu_s=0.0,
             traffic_bytes=float(
-                sum(r.raw_size for r in records) + overhead_bytes * num_samples
+                sum(table.sizes[:, 0].tolist()) + overhead_bytes * num_samples
             ),
         )
 
-        efficiency = [r.offload_efficiency for r in records]
-        beneficial = [r for r in records if efficiency[r.sample_id] > 0]
+        positive = table.efficiency > 0
+        beneficial = np.flatnonzero(positive)
+        # A stable argsort on the negated key keeps sorted(reverse=True)'s
+        # order: ties stay in sample-id order.
         if self.config.order == "efficiency":
-            candidates = sorted(
-                beneficial, key=lambda r: efficiency[r.sample_id], reverse=True
-            )
+            candidates = beneficial[np.argsort(-table.efficiency[beneficial], kind="stable")]
         elif self.config.order == "savings":
-            candidates = sorted(beneficial, key=lambda r: r.best_savings, reverse=True)
+            candidates = beneficial[
+                np.argsort(-table.best_savings[beneficial], kind="stable")
+            ]
         else:  # arrival order
             candidates = beneficial
+        candidate_ids = candidates.tolist()
+        count({NOT_BENEFICIAL: num_samples - len(candidate_ids)})
 
-        for record in records:
-            if not efficiency[record.sample_id] > 0:
+        if explain:
+            for sample_id in np.flatnonzero(~positive).tolist():
                 note(
-                    record,
+                    sample_id,
                     0,
                     NOT_BENEFICIAL,
                     "no split with positive offloading efficiency",
                 )
 
-        if not candidates:
+        if not candidate_ids:
             return OffloadPlan(
-                splits=splits,
+                splits=[0] * num_samples,
                 reason="no samples with positive offloading efficiency",
                 expected=model.estimate(metrics),
             )
@@ -211,32 +227,36 @@ class DecisionEngine:
         accepted = 0
 
         def visit(
-            index: int,
-            before: EpochMetrics,
-            estimate: EpochEstimate,
-            rejected: Optional[EpochEstimate],
+            index: int, work: Work, times: Times, rejected: Optional[Times]
         ) -> None:
             nonlocal accepted
-            record = candidates[index]
-            budget = (accepted, before, estimate)
+            sample_id = candidate_ids[index]
+            estimate = EpochEstimate(*times)
+            budget = _budget_state(accepted, EpochMetrics(*work), estimate)
             if rejected is not None:
                 reason = (
                     "offload would raise the epoch estimate "
-                    f"{estimate.epoch_time_s:.6f}s -> {rejected.epoch_time_s:.6f}s"
+                    f"{estimate.epoch_time_s:.6f}s -> "
+                    f"{EpochEstimate(*rejected).epoch_time_s:.6f}s"
                 )
-                note(record, 0, SKIPPED_WOULD_WORSEN, reason, budget, index + 1)
+                note(sample_id, 0, SKIPPED_WOULD_WORSEN, reason, budget, index + 1)
                 return
-            split = record.min_stage
-            splits[record.sample_id] = split
             accepted += 1
-            note(record, split, OFFLOADED, offloaded, budget, index + 1)
+            split = int(table.min_stage[sample_id])
+            note(sample_id, split, OFFLOADED, offloaded, budget, index + 1)
 
-        actions = (offload_action(r) for r in candidates)
         metrics, final, admitted, stop_index = admit(
-            model, metrics, actions, self.config.never_worsen, visit
+            model,
+            metrics,
+            offload_actions(table, candidates),
+            self.config.never_worsen,
+            visit if explain else None,
         )
+        chosen = candidates[admitted]
+        splits = np.zeros(num_samples, dtype=np.int64)
+        splits[chosen] = table.min_stage[chosen]
         if stop_index is None:
-            stopped_at = len(candidates)
+            stopped_at = len(candidate_ids)
             reason = "exhausted candidates with positive efficiency"
         else:
             stopped_at = stop_index
@@ -244,8 +264,19 @@ class DecisionEngine:
                 "network no longer predominant (bottleneck: "
                 f"{final.bottleneck.value}) after {len(admitted)} samples"
             )
-        for rank, record in enumerate(candidates[stopped_at:], start=stopped_at + 1):
-            note(record, 0, PLANNING_STOPPED, reason, (len(admitted), metrics, final), rank)
+        count(
+            {
+                OFFLOADED: len(admitted),
+                SKIPPED_WOULD_WORSEN: stopped_at - len(admitted),
+                PLANNING_STOPPED: len(candidate_ids) - stopped_at,
+            }
+        )
+        if explain:
+            budget = _budget_state(len(admitted), metrics, final)
+            for rank, sample_id in enumerate(
+                candidate_ids[stopped_at:], start=stopped_at + 1
+            ):
+                note(sample_id, 0, PLANNING_STOPPED, reason, budget, rank)
 
         skipped = stopped_at - len(admitted)
         note_text = f"offloaded {len(admitted)}/{num_samples} samples"
@@ -259,5 +290,5 @@ class DecisionEngine:
             final.bottleneck.value,
         )
         return OffloadPlan(
-            splits=splits, reason=f"{note_text}; {reason}", expected=final
+            splits=splits.tolist(), reason=f"{note_text}; {reason}", expected=final
         )

@@ -2,7 +2,7 @@
 
 import abc
 import dataclasses
-from typing import List, Optional
+from typing import Optional, Sequence
 
 from repro.cluster.spec import ClusterSpec
 from repro.data.dataset import Dataset
@@ -37,7 +37,7 @@ class PolicyContext:
     seed: int = 0
     parallel: ParallelSpec = None
     record_cache: Optional[RecordCache] = dataclasses.field(default=None, repr=False)
-    _records: Optional[List[SampleRecord]] = dataclasses.field(default=None, repr=False)
+    _records: Optional[Sequence[SampleRecord]] = dataclasses.field(default=None, repr=False)
 
     @property
     def effective_batch_size(self) -> int:
@@ -49,7 +49,7 @@ class PolicyContext:
 
     def records(
         self, epoch: int = 0, parallel: ParallelSpec = None
-    ) -> List[SampleRecord]:
+    ) -> Sequence[SampleRecord]:
         """Per-sample stage sizes and op costs (cached for epoch 0).
 
         ``parallel`` overrides the context-wide execution mode for this
@@ -63,10 +63,10 @@ class PolicyContext:
 
     def _build_records(
         self, epoch: int, parallel: ParallelSpec = None
-    ) -> List[SampleRecord]:
+    ) -> Sequence[SampleRecord]:
         mode = parallel if parallel is not None else self.parallel
 
-        def build() -> List[SampleRecord]:
+        def build() -> Sequence[SampleRecord]:
             return build_records(
                 self.pipeline,
                 self.dataset,

@@ -168,7 +168,7 @@ class StageTwoProfiler:
         seed: int = 0,
         epoch: int = 0,
         parallel: ParallelSpec = None,
-    ) -> List[SampleRecord]:
+    ) -> Sequence[SampleRecord]:
         """Build one record per sample.
 
         ``parallel`` selects the execution mode (see :mod:`repro.parallel`).

@@ -8,9 +8,10 @@ changing a single output bit:
 - :mod:`repro.parallel.pcg` -- vectorized bit-exact emulation of the
   ``op_rng`` generator derivation and draw paths.
 - :mod:`repro.parallel.vectorized` -- batch twin of
-  ``Pipeline.simulate`` producing identical :class:`SampleRecord`\\ s.
-- :mod:`repro.parallel.sharded` -- worker-pool sharding with an
-  order-independent merge keyed by ``sample_id``.
+  ``Pipeline.simulate`` producing a :class:`RecordTable` whose rows equal
+  the sequential :class:`SampleRecord`\\ s.
+- :mod:`repro.parallel.sharded` -- worker-pool sharding over
+  contiguous shards, merged in input order.
 - :mod:`repro.parallel.cache` -- keyed record caching across planning
   passes (pipeline fingerprint x dataset fingerprint x seed x epoch).
 - :mod:`repro.parallel.bench` -- the ``make bench`` perf-regression
@@ -24,7 +25,7 @@ funnel through it.
 """
 
 import dataclasses
-from typing import List, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.data.dataset import Dataset
 from repro.parallel.cache import (
@@ -120,12 +121,14 @@ def build_records(
     cost_model: Optional[CostModel] = None,
     parallel: ParallelSpec = None,
     sample_ids: Optional[Sequence[int]] = None,
-) -> List[SampleRecord]:
+) -> Sequence[SampleRecord]:
     """Profile ``dataset`` through ``pipeline`` under a parallel spec.
 
     With ``parallel=None`` (or "sequential") this is exactly the classic
-    per-sample ``build_record`` loop; other modes produce bit-identical
-    records faster.
+    per-sample ``build_record`` loop, returning a list; "vectorized" and
+    "sharded" (with vectorized shards, the default) return a
+    :class:`~repro.preprocessing.records.RecordTable`.  Every mode's
+    records are bit-identical, and the planners take either type.
     """
     config = ParallelConfig.parse(parallel)
     ids = list(dataset.sample_ids()) if sample_ids is None else list(sample_ids)

@@ -6,10 +6,13 @@ to ``BENCH_profiling.json`` with a schema that stays stable across PRs,
 so successive runs on the same machine are directly comparable.
 
 Every scale also runs a determinism gate: the vectorized and sharded
-record lists must be *equal* to the sequential ones (SampleRecord
-equality compares every float exactly), and the plans built from them
-must match.  A speed number from a path that diverges is meaningless,
-so ``identical: false`` fails the run.
+:class:`~repro.preprocessing.records.RecordTable`\\ s must be *equal* to
+the sequential record list (SampleRecord equality compares every float
+exactly), and the plans built from them must match.  ``plan`` is timed
+on both the sequential list and the vectorized table, the input the
+profile -> plan -> simulate pipeline hands the planner.  A speed number
+from a path that diverges is meaningless, so ``identical: false`` fails
+the run.
 
 Run it via ``make bench`` or directly::
 
@@ -98,6 +101,8 @@ def bench_scale(
     )
     engine = DecisionEngine(DecisionConfig())
     gpu_time_s = context.epoch_gpu_time_s
+    # plans["vectorized"] is planned from the table: plan(table) must equal
+    # plan(sequential list).
     plans = {
         mode: engine.plan(records_by_mode[mode], context.spec, gpu_time_s)
         for mode in MODES
@@ -105,6 +110,10 @@ def bench_scale(
     identical = identical and all(plans[mode] == plans["sequential"] for mode in MODES)
     plan_s = _best_of(
         lambda: engine.plan(baseline, context.spec, gpu_time_s), repeats, timer
+    )
+    table = records_by_mode["vectorized"]
+    plan_table_s = _best_of(
+        lambda: engine.plan(table, context.spec, gpu_time_s), repeats, timer
     )
 
     sequential_s = build_s["sequential"]
@@ -120,7 +129,11 @@ def bench_scale(
                 for mode in MODES
             },
         },
-        "plan": {"seconds": plan_s, "num_offloaded": plans["sequential"].num_offloaded},
+        "plan": {
+            "seconds": plan_s,
+            "table_seconds": plan_table_s,
+            "num_offloaded": plans["sequential"].num_offloaded,
+        },
     }
 
 
@@ -186,8 +199,12 @@ def render_summary(report: Dict[str, object]) -> str:
             for mode in report["modes"]
             if mode != "sequential" and speedups[mode] is not None
         )
+        plan = entry["plan"]
         flag = "" if entry["identical"] else "  [NOT IDENTICAL]"
-        lines.append(f"  n={entry['num_samples']}: {parts}{flag}")
+        lines.append(
+            f"  n={entry['num_samples']}: {parts}; plan {plan['seconds'] * 1e3:.1f} ms "
+            f"(list), {plan['table_seconds'] * 1e3:.1f} ms (table){flag}"
+        )
     alloc = report["allocation"]
     peaks = ", ".join(
         f"{mode} {alloc[mode]['peak_bytes'] / 1024:.0f} KiB"

@@ -20,7 +20,7 @@ import dataclasses
 import hashlib
 import threading
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +117,7 @@ class RecordCache:
         if max_entries < 1:
             raise ValueError(f"max_entries must be >= 1, got {max_entries}")
         self.max_entries = max_entries
-        self._entries: "OrderedDict[CacheKey, List[SampleRecord]]" = OrderedDict()
+        self._entries: "OrderedDict[CacheKey, Sequence[SampleRecord]]" = OrderedDict()
         self._lock = threading.Lock()
         self.hits = 0
         self.misses = 0
@@ -127,7 +127,7 @@ class RecordCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: CacheKey) -> Optional[List[SampleRecord]]:
+    def get(self, key: CacheKey) -> Optional[Sequence[SampleRecord]]:
         with self._lock:
             records = self._entries.get(key)
             if records is None:
@@ -137,7 +137,7 @@ class RecordCache:
             self.hits += 1
             return records
 
-    def put(self, key: CacheKey, records: List[SampleRecord]) -> None:
+    def put(self, key: CacheKey, records: Sequence[SampleRecord]) -> None:
         with self._lock:
             self._entries[key] = records
             self._entries.move_to_end(key)
@@ -146,8 +146,8 @@ class RecordCache:
                 self.evictions += 1
 
     def get_or_build(
-        self, key: CacheKey, builder: Callable[[], List[SampleRecord]]
-    ) -> List[SampleRecord]:
+        self, key: CacheKey, builder: Callable[[], Sequence[SampleRecord]]
+    ) -> Sequence[SampleRecord]:
         """The cached records for ``key``, building (and storing) on miss."""
         records = self.get(key)
         if records is None:

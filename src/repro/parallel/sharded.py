@@ -2,9 +2,9 @@
 
 Samples are split into contiguous shards, each shard is profiled by one
 worker (vectorized by default, sequential reference on request), and the
-per-shard results are merged keyed by ``sample_id`` -- so the merged
-output is independent of worker scheduling order and identical to a
-single sequential pass.  Determinism is therefore structural: every
+per-shard results are merged in input order -- so the merged output is
+independent of worker scheduling order and identical to a single
+sequential pass.  Determinism is therefore structural: every
 (seed, epoch, sample, op) draw is keyed, never shared, so no worker
 count or interleaving can change a single record.
 
@@ -15,11 +15,13 @@ dataset object, keeping the picklable surface small and dataset-agnostic.
 import concurrent.futures
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.parallel.vectorized import build_records_vectorized
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.payload import StageMeta
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord, build_record
+from repro.preprocessing.records import RecordTable, SampleRecord, build_record
 
 _BACKENDS = ("thread", "process")
 
@@ -53,7 +55,7 @@ def _build_shard(
     epoch: int,
     cost_model: Optional[CostModel],
     vectorize: bool,
-) -> List[SampleRecord]:
+) -> Sequence[SampleRecord]:
     """One worker's share.  Module-level so process pools can pickle it."""
     if vectorize:
         return build_records_vectorized(
@@ -76,11 +78,12 @@ def build_records_sharded(
     workers: int = 2,
     backend: str = "thread",
     vectorize: bool = True,
-) -> List[SampleRecord]:
+) -> Sequence[SampleRecord]:
     """Build records for ``sample_ids`` across a worker pool.
 
-    The merge is keyed by ``sample_id`` and the result ordered to match
-    the input, so shard completion order cannot influence the output.
+    Shards are contiguous and merged in input order, so shard completion
+    order cannot influence the output.  Vectorized shards merge into one
+    :class:`RecordTable`; sequential shards into a list.
     """
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
@@ -93,12 +96,16 @@ def build_records_sharded(
     if len(bounds) <= 1:
         return _build_shard(pipeline, raw_metas, ids, seed, epoch, cost_model, vectorize)
 
+    if len(set(ids)) != len(ids):
+        raise RuntimeError(
+            f"sharded merge got {len(ids)} sample ids, {len(set(ids))} distinct "
+            "(duplicate sample ids)"
+        )
     pool_cls = (
         concurrent.futures.ThreadPoolExecutor
         if backend == "thread"
         else concurrent.futures.ProcessPoolExecutor
     )
-    by_id = {}
     with pool_cls(max_workers=workers) as pool:
         futures = [
             pool.submit(
@@ -113,12 +120,13 @@ def build_records_sharded(
             )
             for start, stop in bounds
         ]
-        for future in concurrent.futures.as_completed(futures):
-            for record in future.result():
-                by_id[record.sample_id] = record
-    if len(by_id) != len(ids):
-        raise RuntimeError(
-            f"sharded merge produced {len(by_id)} records for {len(ids)} samples "
-            "(duplicate or missing sample ids)"
+        shards = [future.result() for future in futures]
+    if vectorize:
+        # Contiguous shards in input order: concatenating them is the merge.
+        tables = [RecordTable.of(shard) for shard in shards]
+        return RecordTable(
+            np.concatenate([table.sample_ids for table in tables]),
+            np.concatenate([table.sizes for table in tables]),
+            np.concatenate([table.costs for table in tables]),
         )
-    return [by_id[sample_id] for sample_id in ids]
+    return [record for shard in shards for record in shard]

@@ -4,8 +4,8 @@
 size algebra and cost model with NumPy array arithmetic, drawing random
 augmentation parameters from :class:`repro.parallel.pcg.LaneGenerators`
 -- the vectorized bit-exact emulation of ``op_rng``.  The resulting
-stage-size and op-cost matrices (and the :class:`SampleRecord` objects
-``build_records_vectorized`` assembles from them) are **bit-identical**
+stage-size and op-cost matrices (and the :class:`RecordTable`
+``build_records_vectorized`` wraps around them) are **bit-identical**
 to what the sequential ``build_record`` loop produces, floating point
 included.  That contract is what lets every consumer (profilers, the
 decision engine, the harnesses) switch freely between the two paths.
@@ -49,7 +49,7 @@ from repro.preprocessing.ops import (
 )
 from repro.preprocessing.payload import PayloadKind, StageMeta
 from repro.preprocessing.pipeline import Pipeline
-from repro.preprocessing.records import SampleRecord
+from repro.preprocessing.records import RecordTable
 from repro.utils.rng import op_rng
 
 
@@ -332,21 +332,16 @@ def build_records_vectorized(
     seed: int,
     epoch: int = 0,
     cost_model: Optional[CostModel] = None,
-) -> List[SampleRecord]:
-    """Vectorized twin of a ``build_record`` loop over ``sample_ids``."""
+) -> RecordTable:
+    """Vectorized twin of a ``build_record`` loop over ``sample_ids``.
+
+    The table's rows equal the loop's records; no row object is built
+    until something indexes or iterates the table.
+    """
     sizes, costs = simulate_batch(
         pipeline, raw_metas, sample_ids, seed=seed, epoch=epoch, cost_model=cost_model
     )
-    size_rows = sizes.tolist()
-    cost_rows = costs.tolist()
-    return [
-        SampleRecord(
-            sample_id=int(sample_id),
-            stage_sizes=tuple(size_row),
-            op_costs=tuple(cost_row),
-        )
-        for sample_id, size_row, cost_row in zip(sample_ids, size_rows, cost_rows)
-    ]
+    return RecordTable(sample_ids, sizes, costs)
 
 
 def batch_total_costs(costs: np.ndarray) -> List[float]:

@@ -24,7 +24,7 @@ from repro.preprocessing.ops import (
 )
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.preprocessing.cost_model import CostModel, DEFAULT_COST_MODEL, calibrate
-from repro.preprocessing.records import SampleRecord, best_split, build_record
+from repro.preprocessing.records import RecordTable, SampleRecord, best_split, build_record
 
 __all__ = [
     "CostModel",
@@ -37,6 +37,7 @@ __all__ = [
     "Pipeline",
     "RandomHorizontalFlip",
     "RandomResizedCrop",
+    "RecordTable",
     "SampleRecord",
     "StageMeta",
     "ToTensor",

@@ -5,10 +5,18 @@ one sample: its serialized size at every pipeline stage and the CPU cost of
 every op.  From it we derive the sample's best split point, the traffic
 saved by offloading to that split, and the paper's *offloading efficiency*
 (bytes saved per CPU-second of offloaded work).
+
+:class:`RecordTable` holds many records as numpy columns with those derived
+values computed once, vectorized; the planners read its columns and hand
+out :class:`SampleRecord` row views only where a record object is needed.
 """
 
 import dataclasses
-from typing import List, Optional, Sequence, Tuple
+import math
+from itertools import chain
+from typing import Iterator, List, Optional, Sequence, Tuple, Union, overload
+
+import numpy as np
 
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.payload import StageMeta
@@ -39,6 +47,8 @@ class SampleRecord:
             raise ValueError(f"negative stage size in {self.stage_sizes}")
         if any(c < 0 for c in self.op_costs):
             raise ValueError(f"negative op cost in {self.op_costs}")
+        if not all(math.isfinite(c) for c in self.op_costs):
+            raise ValueError(f"non-finite op cost in {self.op_costs}")
         # Cache cumulative costs so prefix_cost/suffix_cost/total_cost are
         # O(1) lookups -- the decision engine calls them for every candidate
         # split of every sample.  Each entry is built with the same
@@ -199,6 +209,163 @@ class ProgressiveSampleRecord(SampleRecord):
     def fidelity_savings(self, scan_count: int) -> int:
         """Bytes kept off the wire by shipping only ``scan_count`` scans."""
         return self.raw_size - self.size_at_fidelity(scan_count)
+
+
+class RecordTable(Sequence[SampleRecord]):
+    """Columnar :class:`SampleRecord`\\ s: one row per sample.
+
+    sample_ids: int64 ``[n]``.
+    sizes: int64 ``[n, k+1]``; row i is record i's ``stage_sizes``.
+    costs: float64 ``[n, k]``; row i is record i's ``op_costs``.
+
+    Derived columns, computed once and each bit-equal to the per-row
+    :class:`SampleRecord` value:
+
+    - ``prefix[n, k+1]``: cumulative op cost.  ``np.add.accumulate`` is a
+      sequential left fold from 0.0, exactly the record's own fold.
+    - ``min_stage``: ``argmin`` over sizes; the first minimum is the
+      earliest-stage tie the record picks.
+    - ``best_cost`` (prefix cost at ``min_stage``), ``best_savings``,
+      ``efficiency`` (0.0 at split 0, inf for a free prefix) and
+      ``total_cost``.
+
+    Indexing yields :class:`SampleRecord` row views, built on first access
+    and cached; a table made from records hands back those very objects.
+    A table compares equal to the list of its rows.
+    """
+
+    def __init__(
+        self,
+        sample_ids: Sequence[int],
+        sizes: np.ndarray,
+        costs: np.ndarray,
+        rows: Optional[List[SampleRecord]] = None,
+    ) -> None:
+        self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        self.sizes = np.asarray(sizes, dtype=np.int64)
+        self.costs = np.asarray(costs, dtype=np.float64)
+        n = self.sample_ids.shape[0]
+        if (
+            self.sizes.ndim != 2
+            or self.costs.ndim != 2
+            or self.sizes.shape[0] != n
+            or self.costs.shape[0] != n
+        ):
+            raise ValueError(
+                f"{n} sample ids for sizes {self.sizes.shape} and costs {self.costs.shape}"
+            )
+        if self.sizes.shape[1] != self.costs.shape[1] + 1:
+            raise ValueError(
+                "stage_sizes must have one more entry than op_costs "
+                f"({self.sizes.shape[1]} vs {self.costs.shape[1]})"
+            )
+        # ``rows``, when given, are the records the columns were read from.
+        self._rows: List[Optional[SampleRecord]] = [None] * n if rows is None else list(rows)
+        # Set once every row exists; only ever goes False -> True, so a
+        # racing reader at worst builds an equal row twice.
+        self._complete = rows is not None
+        bad = (
+            (self.sizes < 0).any(axis=1)
+            | (self.costs < 0).any(axis=1)
+            | ~np.isfinite(self.costs).all(axis=1)
+        )
+        if bad.any():
+            self._row(int(bad.argmax()))  # raises SampleRecord's own error
+        self.prefix = np.add.accumulate(
+            np.concatenate([np.zeros((n, 1)), self.costs], axis=1), axis=1
+        )
+        self.min_stage = self.sizes.argmin(axis=1)
+        index = np.arange(n)
+        self.best_cost = self.prefix[index, self.min_stage]
+        self.best_savings = self.sizes[:, 0] - self.sizes[index, self.min_stage]
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            efficiency = np.where(
+                self.best_cost > 0.0, self.best_savings / self.best_cost, np.inf
+            )
+        efficiency[self.min_stage == 0] = 0.0
+        self.efficiency = efficiency
+        self.total_cost = self.prefix[:, -1]
+
+    @classmethod
+    def of(cls, records: Sequence[SampleRecord]) -> "RecordTable":
+        """``records`` itself if it is a table, else a table over the list."""
+        if isinstance(records, RecordTable):
+            return records
+        rows = list(records)
+        width = rows[0].num_ops if rows else 0
+        if any(len(r.op_costs) != width for r in rows):
+            raise ValueError("a record table needs every record to have the same op count")
+        n = len(rows)
+        sizes = chain.from_iterable(r.stage_sizes for r in rows)
+        costs = chain.from_iterable(r.op_costs for r in rows)
+        return cls(
+            np.fromiter((r.sample_id for r in rows), dtype=np.int64, count=n),
+            np.fromiter(sizes, dtype=np.int64, count=n * (width + 1)).reshape(n, width + 1),
+            np.fromiter(costs, dtype=np.float64, count=n * width).reshape(n, width),
+            rows=rows,
+        )
+
+    def _row(self, index: int) -> SampleRecord:
+        row = self._rows[index]
+        if row is None:
+            row = SampleRecord(
+                sample_id=int(self.sample_ids[index]),
+                stage_sizes=tuple(self.sizes[index].tolist()),
+                op_costs=tuple(self.costs[index].tolist()),
+            )
+            self._rows[index] = row
+        return row
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    @overload
+    def __getitem__(self, index: int) -> SampleRecord: ...
+
+    @overload
+    def __getitem__(self, index: slice) -> List[SampleRecord]: ...
+
+    def __getitem__(
+        self, index: Union[int, slice]
+    ) -> Union[SampleRecord, List[SampleRecord]]:
+        if isinstance(index, slice):
+            return [self._row(i) for i in range(*index.indices(len(self)))]
+        if index < 0:
+            index += len(self)
+        if not 0 <= index < len(self):
+            raise IndexError("record table index out of range")
+        return self._row(index)
+
+    def __iter__(self) -> Iterator[SampleRecord]:
+        if not self._complete:
+            ids = self.sample_ids.tolist()
+            sizes = self.sizes.tolist()
+            costs = self.costs.tolist()
+            for i, row in enumerate(self._rows):
+                if row is None:
+                    self._rows[i] = SampleRecord(ids[i], tuple(sizes[i]), tuple(costs[i]))
+            self._complete = True
+        return iter(self._rows)  # type: ignore[arg-type]
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, RecordTable) and self._plain() and other._plain():
+            return (
+                np.array_equal(self.sample_ids, other.sample_ids)
+                and np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.costs, other.costs)
+            )
+        if isinstance(other, (RecordTable, list)):
+            return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+        return NotImplemented
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def _plain(self) -> bool:
+        """Every row is (or will be built as) a plain :class:`SampleRecord`."""
+        return all(row is None or type(row) is SampleRecord for row in self._rows)
+
+    def __repr__(self) -> str:
+        return f"RecordTable({len(self)} samples, {self.costs.shape[1]} ops)"
 
 
 def build_record(

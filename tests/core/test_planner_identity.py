@@ -7,6 +7,9 @@ grid of storage cores and bandwidths.  Any change to the plans, their
 as a digest mismatch, so a refactor of the planning loop must keep every
 float bit for bit.
 
+Each planner is also fed a ``RecordTable`` -- built from the records, and
+from bare columns whose rows are lazy views -- against the same digests.
+
 Record op costs are rounded to multiples of 2**-32 before planning.  With
 dyadic costs every baseline ``sum()`` is exact, so the digests do not
 depend on the interpreter's float summation (Python 3.12 switched the
@@ -26,7 +29,7 @@ from repro.core.decision import DecisionConfig, DecisionEngine
 from repro.core.fidelity import FidelityConfig, FidelityPlanner
 from repro.core.profiler import StageTwoProfiler
 from repro.core.serialize import plan_to_json
-from repro.preprocessing.records import ProgressiveSampleRecord, SampleRecord
+from repro.preprocessing.records import ProgressiveSampleRecord, RecordTable, SampleRecord
 from repro.telemetry.audit import AuditLog
 from repro.workloads.models import get_model_profile
 
@@ -197,8 +200,10 @@ def _joint_doc(records, pipeline, gpu_time_s, cores):
     return cells
 
 
-def _fidelity_doc(cores):
+def _fidelity_doc(cores, as_table=False):
     records = _fidelity_records()
+    if as_table:
+        records = RecordTable.of(records)
     cells = []
     for bandwidth in FIDELITY_BANDWIDTHS_MBPS:
         spec = standard_cluster(storage_cores=cores).with_bandwidth(bandwidth)
@@ -243,4 +248,30 @@ def test_joint_planner_identity(records, pipeline, gpu_time_s, cores):
 @pytest.mark.parametrize("cores", STORAGE_CORES)
 def test_fidelity_planner_identity(cores):
     doc = _fidelity_doc(cores)
+    assert _digest(doc) == DIGESTS[("fidelity", cores)]
+
+
+def _columns_only(records):
+    """A table built from bare columns: every row is a lazy view."""
+    table = RecordTable.of(records)
+    return RecordTable(table.sample_ids, table.sizes, table.costs)
+
+
+@pytest.mark.parametrize("cores", STORAGE_CORES)
+@pytest.mark.parametrize("build", [RecordTable.of, _columns_only], ids=["of", "columns"])
+@pytest.mark.parametrize("planner", ["decision", "selective", "joint"])
+def test_record_table_input_identity(records, pipeline, gpu_time_s, planner, build, cores):
+    table = build(records)
+    if planner == "decision":
+        doc = _decision_doc(table, gpu_time_s, cores)
+    elif planner == "selective":
+        doc = _selective_doc(table, pipeline, gpu_time_s, cores)
+    else:
+        doc = _joint_doc(table, pipeline, gpu_time_s, cores)
+    assert _digest(doc) == DIGESTS[(planner, cores)]
+
+
+@pytest.mark.parametrize("cores", STORAGE_CORES)
+def test_fidelity_planner_record_table_identity(cores):
+    doc = _fidelity_doc(cores, as_table=True)
     assert _digest(doc) == DIGESTS[("fidelity", cores)]

@@ -1,8 +1,12 @@
 """The perf-regression harness: schema stability and the determinism gate."""
 
+import dataclasses
 import json
 
+import repro.parallel.bench as bench
+from repro.core.decision import DecisionEngine
 from repro.parallel.bench import MODES, SCHEMA, bench_scale, main, run_bench
+from repro.preprocessing.records import RecordTable
 
 
 def ticking_clock():
@@ -26,6 +30,19 @@ def test_bench_scale_shape_and_determinism_gate():
     assert all(value > 0 for value in seconds.values())
     assert speedups["sequential"] == 1.0
     assert result["plan"]["seconds"] > 0
+    assert result["plan"]["table_seconds"] > 0
+
+
+def test_identity_gate_requires_the_table_plan_to_match(monkeypatch):
+    class TableSkew(DecisionEngine):
+        def plan(self, records, *args, **kwargs):
+            plan = super().plan(records, *args, **kwargs)
+            if isinstance(records, RecordTable):
+                plan = dataclasses.replace(plan, reason=plan.reason + " (table)")
+            return plan
+
+    monkeypatch.setattr(bench, "DecisionEngine", TableSkew)
+    assert bench_scale(40, repeats=1, timer=ticking_clock())["identical"] is False
 
 
 def test_run_bench_report_schema():

@@ -104,3 +104,11 @@ def test_worker_validation(openimages_small):
         build_records_sharded(pipeline, metas, [0], seed=0, workers=0)
     with pytest.raises(ValueError):
         build_records_sharded(pipeline, metas, [0], seed=0, backend="carrier-pigeon")
+
+
+@pytest.mark.parametrize("vectorize", [True, False])
+def test_duplicate_sample_ids_rejected(openimages_small, vectorize):
+    pipeline = standard_pipeline()
+    metas = [openimages_small.raw_meta(i) for i in (0, 1, 1, 2)]
+    with pytest.raises(RuntimeError, match="duplicate"):
+        build_records_sharded(pipeline, metas, [0, 1, 1, 2], seed=0, vectorize=vectorize)

@@ -174,3 +174,12 @@ class TestProgressiveRecord:
             self.make(psnrs=(35.0, 20.0, float("inf")))
         with pytest.raises(ValueError):
             self.make(psnrs=(20.0, 35.0, 50.0))
+
+
+class TestNonFiniteCosts:
+    # A NaN cost used to pass and plan to t_cc=nan, a "gpu" bottleneck and
+    # nothing offloaded; an inf cost ranked the sample at efficiency 0.0.
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_cost_rejected(self, bad):
+        with pytest.raises(ValueError, match="op cost"):
+            SampleRecord(0, (1000, 500, 100), (0.01, bad))
