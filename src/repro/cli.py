@@ -15,9 +15,9 @@ Usage (installed as ``sophon-repro``)::
 the run's metrics as replayable JSONL and Prometheus text; ``audit``
 explains one sample's offload decision and its simulated journey;
 ``replay`` renders a previously exported telemetry JSONL log without
-re-running anything.  Profiling-heavy commands accept ``--parallel``
-(e.g. ``vectorized`` or ``sharded:4``) to accelerate record building via
-:mod:`repro.parallel`; outputs are bit-identical in every mode.
+re-running anything.  Record building goes through
+:func:`repro.parallel.build_records`, which vectorizes whenever the
+pipeline and dataset allow it.
 """
 
 import argparse
@@ -50,19 +50,6 @@ def _dataset(name: str, samples: Optional[int], seed: int):
     if name == "imagenet":
         return make_imagenet(num_samples=samples, seed=seed)
     raise SystemExit(f"unknown dataset {name!r}; pick openimages or imagenet")
-
-
-def _parallel(args: argparse.Namespace):
-    """The validated --parallel spec, or None for sequential."""
-    value = getattr(args, "parallel", None)
-    if value is None:
-        return None
-    from repro.parallel import ParallelConfig
-
-    try:
-        return ParallelConfig.parse(value)
-    except ValueError as exc:
-        raise SystemExit(f"bad --parallel value: {exc}") from exc
 
 
 @contextlib.contextmanager
@@ -126,7 +113,7 @@ def cmd_fig1a(args: argparse.Namespace) -> None:
 def cmd_fig1b(args: argparse.Namespace) -> None:
     for name in ("openimages", "imagenet"):
         dataset = _dataset(name, args.samples, args.seed)
-        fractions = minstage_fractions(dataset, seed=args.seed, parallel=_parallel(args))
+        fractions = minstage_fractions(dataset, seed=args.seed)
         rows = [(stage, f"{frac:.1%}") for stage, frac in fractions.items()]
         print(f"[{dataset.name}] minimum-size stage fractions "
               f"(benefit: {benefit_fraction(fractions):.1%})")
@@ -136,9 +123,7 @@ def cmd_fig1b(args: argparse.Namespace) -> None:
 
 def cmd_fig1c(args: argparse.Namespace) -> None:
     dataset = _dataset(args.dataset, args.samples, args.seed)
-    records = StageTwoProfiler().profile(
-        dataset, standard_pipeline(), seed=args.seed, parallel=_parallel(args)
-    )
+    records = StageTwoProfiler().profile(dataset, standard_pipeline(), seed=args.seed)
     print(f"[{dataset.name}] {efficiency_distribution(records)}")
 
 
@@ -165,9 +150,7 @@ def cmd_fig3(args: argparse.Namespace) -> None:
     dataset = _dataset(args.dataset, args.samples, args.seed)
     cluster = standard_cluster(storage_cores=args.storage_cores)
     with _scoped_registry(args) as registry:
-        comparison = ample_cpu_comparison(
-            dataset, cluster, seed=args.seed, parallel=_parallel(args)
-        )
+        comparison = ample_cpu_comparison(dataset, cluster, seed=args.seed)
         if registry is not None:
             from repro.harness.telemetry import record_epoch_stats
 
@@ -185,9 +168,7 @@ def cmd_fig3(args: argparse.Namespace) -> None:
 def cmd_fig4(args: argparse.Namespace) -> None:
     dataset = _dataset(args.dataset, args.samples, args.seed)
     with _scoped_registry(args) as registry:
-        sweep = limited_cpu_sweep(
-            dataset, cores=tuple(args.cores), seed=args.seed, parallel=_parallel(args)
-        )
+        sweep = limited_cpu_sweep(dataset, cores=tuple(args.cores), seed=args.seed)
         if registry is not None:
             from repro.harness.telemetry import record_epoch_stats
 
@@ -252,7 +233,6 @@ def cmd_plan(args: argparse.Namespace) -> None:
         spec=spec,
         model=get_model_profile(args.model),
         seed=args.seed,
-        parallel=_parallel(args),
     )
     plan = Sophon().plan(context)
     print(f"[{dataset.name}] {plan.reason}")
@@ -278,7 +258,7 @@ def cmd_stalls(args: argparse.Namespace) -> None:
     model = get_model_profile(args.model)
     context = PolicyContext(
         dataset=dataset, pipeline=standard_pipeline(), spec=spec,
-        model=model, seed=args.seed, parallel=_parallel(args),
+        model=model, seed=args.seed,
     )
     plan = Sophon().plan(context)
     trainer = TrainerSim(dataset, context.pipeline, model, spec, seed=args.seed)
@@ -328,7 +308,7 @@ def cmd_audit(args: argparse.Namespace) -> None:
     model = get_model_profile(args.model)
     context = PolicyContext(
         dataset=dataset, pipeline=standard_pipeline(), spec=spec,
-        model=model, seed=args.seed, parallel=_parallel(args),
+        model=model, seed=args.seed,
     )
     audit = AuditLog()
     plan = DecisionEngine(DecisionConfig()).plan(
@@ -705,15 +685,6 @@ def cmd_all(args: argparse.Namespace) -> None:
     cmd_fig4(args)
 
 
-def _add_parallel_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "--parallel",
-        default=None,
-        help="profiling execution mode: sequential, vectorized, sharded[:N] "
-        "(bit-identical records; see repro.parallel)",
-    )
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sophon-repro",
@@ -731,12 +702,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fig1a)
 
     p = sub.add_parser("fig1b", help="minimum-size stage fractions")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_fig1b)
 
     p = sub.add_parser("fig1c", help="offloading-efficiency distribution")
     p.add_argument("--dataset", default="openimages")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_fig1c)
 
     p = sub.add_parser("fig1d", help="GPU utilization by model")
@@ -750,7 +719,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--storage-cores", type=int, default=48)
     p.add_argument("--csv", help="also write the data as CSV to this path")
     p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_fig3)
 
     p = sub.add_parser("fig4", help="storage-core sweep")
@@ -758,7 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--cores", type=int, nargs="+", default=[0, 1, 2, 3, 4, 5])
     p.add_argument("--csv", help="also write the data as CSV to this path")
     p.add_argument("--telemetry-dir", help="write telemetry artifacts here")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_fig4)
 
     p = sub.add_parser(
@@ -773,7 +740,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shards", type=int, default=None,
                    help="simulate on a sharded storage tier with this many "
                    "shards (round-robin placement; spans gain shard labels)")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_audit)
 
     p = sub.add_parser(
@@ -811,14 +777,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="alexnet")
     p.add_argument("--storage-cores", type=int, default=48)
     p.add_argument("--save", help="write the plan as JSON to this path")
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("stalls", help="data-stall breakdown, no-off vs sophon")
     p.add_argument("--dataset", default="openimages")
     p.add_argument("--model", default="alexnet")
     p.add_argument("--storage-cores", type=int, default=48)
-    _add_parallel_flag(p)
     p.set_defaults(func=cmd_stalls)
 
     p = sub.add_parser("ext-llm", help="the section-5 LLM negative result")

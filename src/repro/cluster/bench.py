@@ -265,9 +265,10 @@ def bench_profiler_e2e(
 ) -> Dict[str, object]:
     """End-to-end profile -> plan -> simulate over real pixels.
 
-    Exercises the sharded real-execution :class:`StageTwoProfiler` path
-    on a materialized dataset, plans from the profiled records, and gates
-    the fast epoch simulation of that plan against the reference kernel.
+    Exercises the real-execution :class:`StageTwoProfiler` path on a
+    materialized dataset, gates its records against the metadata
+    profiler's, plans from them, and gates the fast epoch simulation of
+    that plan against the reference kernel.
     """
     from repro.core.profiler import StageTwoProfiler
     from repro.data.synthetic import ImageContentConfig, SyntheticImageDataset
@@ -281,19 +282,12 @@ def bench_profiler_e2e(
     pipeline = standard_pipeline()
     profiler = StageTwoProfiler(use_real_execution=True)
 
-    sequential = profiler.profile(dataset, pipeline, seed=seed)
-    sharded = profiler.profile(dataset, pipeline, seed=seed, parallel="sharded:2")
-    records_identical = [dataclasses.asdict(r) for r in sharded] == [
-        dataclasses.asdict(r) for r in sequential
-    ]
+    executed = profiler.profile(dataset, pipeline, seed=seed)
+    simulated = StageTwoProfiler().profile(dataset, pipeline, seed=seed)
+    records_identical = simulated == executed
     profile_s = {
         "sequential": _best_of(
             lambda: profiler.profile(dataset, pipeline, seed=seed), repeats, timer
-        ),
-        "sharded:2": _best_of(
-            lambda: profiler.profile(dataset, pipeline, seed=seed, parallel="sharded:2"),
-            repeats,
-            timer,
         ),
     }
 
@@ -303,7 +297,7 @@ def bench_profiler_e2e(
         dataset=dataset, pipeline=pipeline, spec=spec, model=model, seed=seed
     )
     plan = DecisionEngine(DecisionConfig()).plan(
-        sequential, spec, context.epoch_gpu_time_s
+        executed, spec, context.epoch_gpu_time_s
     )
     trainer = TrainerSim(
         dataset=dataset, pipeline=pipeline, model=model, spec=spec, seed=seed

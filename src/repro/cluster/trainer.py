@@ -280,16 +280,14 @@ def launch_training_processes(
         yield env.timeout(window.start)
         victims = [p for p in list(active_offloads) if not p.triggered]
         for proc in victims:
+            # Popped, not read: a second window opening at the same instant
+            # must not interrupt an offload whose first interrupt is queued.
+            sample_id = active_offloads.pop(proc)
             report.crash_interrupts += 1
             if timeline is not None:
-                timeline.record_fault(
-                    env.now, "crash-interrupt", active_offloads.get(proc, -1)
-                )
+                timeline.record_fault(env.now, "crash-interrupt", sample_id)
             if tracer is not None:
-                tracer.instant(
-                    trace_id(active_offloads.get(proc, -1), epoch),
-                    "fault.crash_interrupt",
-                )
+                tracer.instant(trace_id(sample_id, epoch), "fault.crash_interrupt")
             proc.interrupt("storage-crash")
 
     def prefix_proc(item: SampleWork):

@@ -26,7 +26,6 @@ from repro.data.catalog import make_openimages
 from repro.data.dataset import Dataset
 from repro.faults import FaultSchedule
 from repro.harness.telemetry import emit_artifacts, record_epoch_stats
-from repro.parallel import ParallelSpec
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.telemetry.audit import AuditLog
 from repro.telemetry.registry import MetricsRegistry, use_registry
@@ -188,7 +187,6 @@ def run_chaos(
     seed: int = 0,
     scenarios: Optional[List[ChaosScenario]] = None,
     telemetry: bool = False,
-    parallel: ParallelSpec = None,
     shards: Optional[int] = None,
 ) -> ChaosReport:
     """Plan once with SOPHON's decision engine, then survive each scenario.
@@ -227,7 +225,6 @@ def run_chaos(
             model=model,
             batch_size=batch_size,
             seed=seed,
-            parallel=parallel,
         )
         plan = DecisionEngine(DecisionConfig()).plan(
             context.records(), spec, gpu_time_s=context.epoch_gpu_time_s, audit=audit
@@ -315,12 +312,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "Prometheus text, decision audit) under this directory",
     )
     parser.add_argument(
-        "--parallel",
-        default=None,
-        help="profiling execution mode: sequential, vectorized, sharded[:N] "
-        "(bit-identical output; see repro.parallel)",
-    )
-    parser.add_argument(
         "--shards",
         type=int,
         default=None,
@@ -335,7 +326,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         batch_size=args.batch_size,
         seed=args.seed,
         telemetry=args.telemetry_dir is not None,
-        parallel=args.parallel,
         shards=args.shards,
     )
     print(report.render())

@@ -12,7 +12,7 @@ from repro.core.sophon import Sophon
 from repro.baselines.fastflow import FastFlow
 from repro.baselines.simple import AllOff, NoOff, ResizeOff
 from repro.data.dataset import Dataset
-from repro.parallel import ParallelSpec, RecordCache
+from repro.parallel import RecordCache
 from repro.preprocessing.pipeline import Pipeline, standard_pipeline
 from repro.workloads.models import ModelProfile, get_model_profile
 
@@ -60,16 +60,14 @@ def run_experiment(
     batch_size: Optional[int] = None,
     seed: int = 0,
     measure_epoch: int = 1,
-    parallel: ParallelSpec = None,
     record_cache: Optional[RecordCache] = None,
 ) -> ExperimentResult:
     """Plan with ``policy`` (profiling on epoch 0), measure ``measure_epoch``.
 
     Profiling always happens on the first, non-offloaded epoch; the plan is
     then applied to a later epoch, as in the paper's on-the-fly scheme.
-    ``parallel`` selects the profiling execution mode and ``record_cache``
-    shares profiled records across experiments (see :mod:`repro.parallel`);
-    neither changes any output.
+    ``record_cache`` shares profiled records across experiments (see
+    :mod:`repro.parallel`); it changes no output.
     """
     if model is None:
         model = get_model_profile("alexnet", "rtx6000")
@@ -83,7 +81,6 @@ def run_experiment(
         model=model,
         batch_size=batch_size,
         seed=seed,
-        parallel=parallel,
         record_cache=record_cache,
     )
     plan = policy.plan(context).clamped_for(cluster)
@@ -116,7 +113,6 @@ def compare_policies(
     pipeline: Optional[Pipeline] = None,
     batch_size: Optional[int] = None,
     seed: int = 0,
-    parallel: ParallelSpec = None,
     record_cache: Optional[RecordCache] = None,
 ) -> List[ExperimentResult]:
     """Run the paper's five policies (or a custom set) on one workload.
@@ -138,7 +134,6 @@ def compare_policies(
             pipeline=pipeline,
             batch_size=batch_size,
             seed=seed,
-            parallel=parallel,
             record_cache=record_cache,
         )
         for policy in policies

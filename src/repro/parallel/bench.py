@@ -1,13 +1,14 @@
 """Perf-regression harness for the profiling -> planning hot path.
 
-Times record building (sequential vs. vectorized vs. sharded) and
-``DecisionEngine.plan`` at several dataset scales and writes the results
-to ``BENCH_profiling.json`` with a schema that stays stable across PRs,
-so successive runs on the same machine are directly comparable.
+Times record building (the sequential reference loop vs. the default
+vectorized builder) and ``DecisionEngine.plan`` at several dataset
+scales and writes the results to ``BENCH_profiling.json`` with a schema
+that stays stable across PRs, so successive runs on the same machine are
+directly comparable.
 
-Every scale also runs a determinism gate: the vectorized and sharded
-:class:`~repro.preprocessing.records.RecordTable`\\ s must be *equal* to
-the sequential record list (SampleRecord equality compares every float
+Every scale also runs a determinism gate: the vectorized
+:class:`~repro.preprocessing.records.RecordTable` must be *equal* to the
+sequential record list (SampleRecord equality compares every float
 exactly), and the plans built from them must match.  ``plan`` is timed
 on both the sequential list and the vectorized table, the input the
 profile -> plan -> simulate pipeline hands the planner.  A speed number
@@ -47,7 +48,7 @@ SCHEMA = "sophon-bench-profiling/v1"
 DEFAULT_SCALES = (250, 1000, 4000)
 
 #: The execution modes every scale is timed under, in report order.
-MODES = ("sequential", "vectorized", "sharded:2")
+MODES = ("sequential", "vectorized")
 
 
 def _best_of(fn: Callable[[], object], repeats: int, timer: Clock) -> float:
@@ -175,7 +176,7 @@ def run_bench(
     allocation = allocation_stats(sorted(scales)[0], seed=seed)
     largest = results[-1]
     speedups = largest["record_building"]["speedup_vs_sequential"]
-    best_parallel = max(
+    best_speedup = max(
         speedups[mode] or 0.0 for mode in MODES if mode != "sequential"
     )
     return {
@@ -185,7 +186,7 @@ def run_bench(
         "allocation": allocation,
         "identical": all(r["identical"] for r in results),
         "largest_scale": largest["num_samples"],
-        "largest_scale_best_speedup": best_parallel,
+        "largest_scale_best_speedup": best_speedup,
     }
 
 
@@ -213,7 +214,7 @@ def render_summary(report: Dict[str, object]) -> str:
     lines.append(f"peak allocation at n={alloc['num_samples']}: {peaks}")
     lines.append(
         f"largest scale ({report['largest_scale']} samples): "
-        f"{report['largest_scale_best_speedup']:.1f}x best parallel speedup"
+        f"{report['largest_scale_best_speedup']:.1f}x best speedup"
     )
     return "\n".join(lines)
 
@@ -244,7 +245,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(render_summary(report))
     print(f"report written to {args.out}")
     if not report["identical"]:
-        print("FAIL: a parallel path diverged from the sequential records/plan")
+        print("FAIL: the vectorized path diverged from the sequential records/plan")
         return 1
     return 0
 

@@ -98,9 +98,9 @@ def record_key(
 ) -> CacheKey:
     """The cache key for one profiling pass.
 
-    Records are identical whichever execution mode built them (that is
-    the parallel engine's determinism contract), so the key deliberately
-    excludes the mode.
+    Records are identical whichever path built them (that is the
+    parallel engine's determinism contract), so the key deliberately
+    excludes the path.
     """
     return (
         dataset_fingerprint(dataset),

@@ -33,7 +33,7 @@ entirely (``supports_batch`` tells callers in advance).
 
 import dataclasses
 import math
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Type
+from typing import Callable, Dict, Optional, Sequence, Tuple, Type
 
 import numpy as np
 
@@ -343,17 +343,3 @@ def build_records_vectorized(
     )
     return RecordTable(sample_ids, sizes, costs)
 
-
-def batch_total_costs(costs: np.ndarray) -> List[float]:
-    """Per-sample pipeline cost with sequential-identical summation.
-
-    ``PipelineRun.total_cost_s`` folds stage costs left to right with
-    Python floats; NumPy's pairwise ``sum`` would round differently, so
-    accumulate column by column instead and hand back Python floats.
-    """
-    if not costs.shape[0]:
-        return []
-    total = costs[:, 0].copy()
-    for column in range(1, costs.shape[1]):
-        total = total + costs[:, column]
-    return total.tolist()

@@ -45,7 +45,12 @@ class PipelineRun:
 
     @property
     def total_cost_s(self) -> float:
-        return sum(s.cost_s for s in self.stages)
+        # An explicit left fold, the same as SampleRecord.total_cost:
+        # Python 3.12's float sum() is compensated and would round apart.
+        total = 0.0
+        for stage in self.stages:
+            total = total + stage.cost_s
+        return total
 
 
 class Pipeline:

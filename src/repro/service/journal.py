@@ -119,12 +119,14 @@ class JournalState:
     grants: every surviving grant, in sequence order.
     committed: cores each journalled job still holds (grants minus
         releases; a re-grant for the same job replaces its old commit).
+    last_release: the seq of each journalled job's latest release.
     next_seq: the sequence number the resumed server continues from.
     truncated_tail: True when a torn trailing line was dropped.
     """
 
     grants: List[GrantRecord] = dataclasses.field(default_factory=list)
     committed: Dict[str, int] = dataclasses.field(default_factory=dict)
+    last_release: Dict[str, int] = dataclasses.field(default_factory=dict)
     next_seq: int = 1
     truncated_tail: bool = False
 
@@ -135,6 +137,19 @@ class JournalState:
         for grant in self.grants:
             latest[grant.job] = grant
         return {job: latest[job] for job in latest if job in self.committed}
+
+    @property
+    def live_grants(self) -> List[GrantRecord]:
+        """Each still-committed job's grants since its last release.
+
+        Exactly what the live service's idempotency table held: a release
+        drops the job's grants from it.
+        """
+        return [
+            grant for grant in self.grants
+            if grant.job in self.committed
+            and grant.seq > self.last_release.get(grant.job, 0)
+        ]
 
 
 def _record_from_dict(record: Mapping[str, object]) -> Optional[JournalRecord]:
@@ -206,6 +221,7 @@ def replay(path: str) -> JournalState:
             state.next_seq = max(state.next_seq, entry.seq + 1)
         elif isinstance(entry, ReleaseRecord):
             state.committed.pop(entry.job, None)
+            state.last_release[entry.job] = entry.seq
             state.next_seq = max(state.next_seq, entry.seq + 1)
         elif isinstance(entry, CheckpointRecord):
             state.committed = {job: cores for job, cores in entry.committed}

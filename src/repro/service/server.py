@@ -97,8 +97,9 @@ class DecisionService:
         self.ledger = CoreBudgetLedger(config.total_storage_cores)
         self.queue = BoundedWorkQueue(config.queue_capacity, recorder=self.flight)
         self.planner.recorder = self.flight
-        #: Idempotency map: (job, params_digest) -> the grant already made.
-        self._grants: Dict[Tuple[str, str], GrantRecord] = {}
+        #: Idempotency map: job -> params_digest -> the grant already
+        #: made.  Releasing a job drops its entries.
+        self._grants: Dict[str, Dict[str, GrantRecord]] = {}
         self._seq = 1
         self._state_lock = threading.Lock()
         self._index_lock = threading.Lock()
@@ -112,8 +113,8 @@ class DecisionService:
             )
             state = self._journal.recovered
             self.ledger.restore(state.committed)
-            for grant in state.grants:
-                self._grants[(grant.job, grant.params_digest)] = grant
+            for grant in state.live_grants:
+                self._grants.setdefault(grant.job, {})[grant.params_digest] = grant
             self._seq = state.next_seq
             self.recovered_grants = len(state.grants)
             if state.grants:
@@ -332,7 +333,7 @@ class DecisionService:
             return
         digest = spec.params_digest()
         with self._state_lock:
-            existing = self._grants.get((spec.job, digest))
+            existing = self._grants.get(spec.job, {}).get(digest)
         if existing is not None and self.ledger.holds(spec.job) == existing.cores:
             # Idempotent replay: the client re-sent a request we already
             # granted (typically after a crash ate the response).
@@ -387,7 +388,7 @@ class DecisionService:
                 # Sequenced-append invariant: the fsync'd journal line
                 # must land in seq order, so it stays under the lock.
                 self._journal.append_grant(grant, trace=trace)  # sophon-lint: disable=GUARD02
-            self._grants[(spec.job, digest)] = grant
+            self._grants.setdefault(spec.job, {})[digest] = grant
         self._admission("granted")
         registry = get_default_registry()
         registry.gauge(
@@ -496,6 +497,7 @@ class DecisionService:
             cores = self.ledger.release(job)
             if cores is None:
                 return (404, {"error": f"job {job!r} holds no cores"})
+            self._grants.pop(job, None)
             if self._journal is not None:
                 # Same sequenced-append invariant as the grant path.
                 self._journal.append_release(  # sophon-lint: disable=GUARD02
@@ -510,7 +512,7 @@ class DecisionService:
 
     def status_body(self) -> Dict[str, object]:
         with self._state_lock:
-            grants = len(self._grants)
+            grants = sum(len(by_digest) for by_digest in self._grants.values())
             next_seq = self._seq
         return {
             "ready": self.is_ready,

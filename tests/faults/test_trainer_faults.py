@@ -126,3 +126,35 @@ class TestCorruption:
         # Retransmissions are extra traffic on the same sample set.
         assert stats.traffic_bytes > baseline.traffic_bytes
         assert stats.num_samples == baseline.num_samples
+
+
+class TestCoincidentCrashes:
+    """Two crash windows opening at the same instant (regression)."""
+
+    @pytest.fixture(scope="class")
+    def setup(self):
+        from repro.preprocessing.pipeline import standard_pipeline
+        from repro.workloads.models import get_model_profile
+
+        data = make_openimages(num_samples=64, seed=11)
+        trainer = TrainerSim(
+            dataset=data,
+            pipeline=standard_pipeline(),
+            model=get_model_profile("alexnet"),
+            spec=standard_cluster(storage_cores=2),
+            seed=3,
+        )
+        splits = [3] * len(data)
+        return trainer, splits, trainer.run_epoch(splits, epoch=0).epoch_time_s
+
+    @pytest.mark.parametrize("kernel", ["reference", "auto"])
+    def test_same_start_windows_interrupt_each_offload_once(self, setup, kernel):
+        trainer, splits, clean_s = setup
+        start = 0.2 * clean_s
+        longer = FaultSchedule().with_crash(start, duration=0.1 * clean_s)
+        both = longer.with_crash(start, duration=0.05 * clean_s)
+        alone = trainer.run_epoch(splits, epoch=0, faults=longer, kernel=kernel)
+        stats = trainer.run_epoch(splits, epoch=0, faults=both, kernel=kernel)
+        assert stats.num_samples == len(splits)
+        assert stats.faults.crash_interrupts == alone.faults.crash_interrupts > 0
+        assert stats.faults.demoted_samples == alone.faults.demoted_samples

@@ -74,7 +74,6 @@ def telemetry_log(tmp_path):
         make_openimages(num_samples=40, seed=7),
         seed=7,
         telemetry=True,
-        parallel="vectorized",
     )
     paths = write_chaos_telemetry(report, str(tmp_path))
     (log,) = [p for p in paths if p.endswith("chaos.telemetry.jsonl")]

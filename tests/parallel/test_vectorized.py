@@ -10,14 +10,13 @@ import pytest
 
 from repro.data.catalog import make_imagenet, make_openimages
 from repro.parallel.vectorized import (
-    batch_total_costs,
     build_records_vectorized,
     simulate_batch,
     supports_batch,
 )
 from repro.preprocessing.cost_model import CostModel
 from repro.preprocessing.pipeline import standard_pipeline
-from repro.preprocessing.records import build_record
+from repro.preprocessing.records import RecordTable, build_record
 
 
 def sequential_records(pipeline, dataset, seed, epoch=0, cost_model=None):
@@ -92,8 +91,8 @@ def test_cached_cost_arrays_match_public_api(openimages_small):
 def test_simulate_batch_totals_match_sequential_fold(openimages_small):
     pipeline = standard_pipeline()
     metas = [openimages_small.raw_meta(i) for i in range(64)]
-    _, costs = simulate_batch(pipeline, metas, list(range(64)), seed=5)
-    totals = batch_total_costs(costs)
+    sizes, costs = simulate_batch(pipeline, metas, list(range(64)), seed=5)
+    totals = RecordTable(list(range(64)), sizes, costs).total_cost.tolist()
     for i, total in enumerate(totals):
         record = build_record(
             pipeline, openimages_small.raw_meta(i), i, seed=5, epoch=0

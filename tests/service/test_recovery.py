@@ -94,6 +94,29 @@ class TestCrashRecovery:
         assert resumed.ledger.committed() == {}
         assert resumed.recovered_grants == 1
 
+    def test_recovery_loads_only_grants_since_each_jobs_last_release(
+        self, tmp_path, service_factory
+    ):
+        journal = str(tmp_path / "journal.jsonl")
+        config = ServiceConfig(total_storage_cores=24, journal_path=journal)
+        service = service_factory(config)
+        client = ServiceClient(service.address)
+        client.plan("job-a", num_samples=SMALL_SAMPLES, seed=1, storage_cores=4)
+        client.release("job-a")
+        second = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=2, storage_cores=4)
+        client.plan("job-b", num_samples=SMALL_SAMPLES, storage_cores=4)
+        client.release("job-b")
+        service.kill()
+
+        resumed = service_factory(config)
+        assert resumed.recovered_grants == 3
+        assert resumed.status_body()["grants"] == 1
+        client = ServiceClient(resumed.address)
+        replayed = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=2, storage_cores=4)
+        assert replayed.replayed and replayed.seq == second.seq
+        resent = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=1, storage_cores=4)
+        assert not resent.replayed
+
     def test_torn_tail_does_not_block_restart(self, tmp_path, service_factory):
         journal = str(tmp_path / "journal.jsonl")
         service = service_factory(

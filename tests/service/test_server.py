@@ -53,6 +53,23 @@ class TestPlan:
         assert not second.replayed
         assert second.seq == first.seq + 1
 
+    def test_released_jobs_leave_the_grant_table(self, live_service, client):
+        for job in ("job-a", "job-b"):
+            client.plan(job, num_samples=SMALL_SAMPLES, storage_cores=2)
+            client.plan(job, num_samples=SMALL_SAMPLES, storage_cores=4)
+            client.release(job)
+        assert live_service.status_body()["grants"] == 0
+
+    def test_resend_from_before_a_release_is_planned_afresh(self, client):
+        first = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=1, storage_cores=4)
+        client.release("job-a")
+        second = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=2, storage_cores=4)
+        # The seed-1 grant died with the release; the ledger's commitment
+        # is the seed-2 grant's, so the re-send cannot be a replay.
+        resent = client.plan("job-a", num_samples=SMALL_SAMPLES, seed=1, storage_cores=4)
+        assert not resent.replayed
+        assert resent.seq > second.seq > first.seq
+
     def test_unknown_model_is_a_protocol_error(self, client):
         with pytest.raises(ServiceProtocolError, match="unknown model"):
             client.plan("job-a", num_samples=SMALL_SAMPLES, model="gpt9")
