@@ -1,24 +1,27 @@
 """Perf-regression harness for the epoch simulator (DES kernel + engine).
 
 Times ``TrainerSim.run_epoch`` under the frozen seed kernel
-(``kernel="reference"``: :mod:`repro.cluster.refsim` plus the sequential
-work builder) against the overhauled path (``kernel="fast"``: the slotted
-:mod:`repro.cluster.sim` kernel, the vectorized work builder, and the
-batched cursor engine) at several dataset scales, and writes the results
-to ``BENCH_sim.json`` with a schema that stays stable across PRs.
+(``kernel="reference"``: :mod:`repro.cluster.refsim`, generator processes
+and the sequential work builder) against the optimized path
+(``kernel="auto"``: the slotted :mod:`repro.cluster.sim` kernel, the
+vectorized work builder, and the batched cursor engine) at several dataset
+scales, and writes the results to ``BENCH_sim.json`` with a schema that
+stays stable across PRs (the optimized path keeps its report key
+``"fast"``).
 
-Every scale also runs an identity gate: the fast path's
+Every scale also runs identity gates: the optimized path's
 :class:`~repro.cluster.trainer.EpochStats` must serialize *byte-for-byte
-equal* to the reference path's, and a faulted run on the optimized kernel
-must match the seed kernel exactly (fault injection never takes the
-engine, so this pins the generator path too).  Auxiliary gates cover
+equal* to the reference path's, fault-free, faulted, and faulted with
+spans (the span streams must match too).  Each scale times a faults+spans
+epoch under both kernels besides the fault-free one, since every faulted
+or traced run now takes the cursor engine as well.  Auxiliary gates cover
 spans, timelines, the sharded trainer, the shared-link multi-job sim and
 the end-to-end profile->plan->simulate flow.  A speed number from a path
 that diverges is meaningless, so ``identical: false`` fails the run.
 
 ``--million`` adds the headline entry: a full 10^6-sample
-profile->plan->simulate pass on the fast path (the reference kernel is
-never timed there -- extrapolate from the measured scales).
+profile->plan->simulate pass on the optimized path (the reference kernel
+is never timed there -- extrapolate from the measured scales).
 
 Run it via ``make bench`` or directly::
 
@@ -57,8 +60,13 @@ SCHEMA = "sophon-bench-sim/v1"
 #: claim; the smaller ones show how the gap scales.
 DEFAULT_SCALES = (400, 4000, 32000)
 
-#: The two kernel paths every scale is timed under, in report order.
+#: The two kernel paths every scale is timed under, in report order.  The
+#: keys predate the ``kernel=`` collapse: ``"fast"`` reports the optimized
+#: path, which ``run_epoch`` now calls ``kernel="auto"``.
 KERNELS = ("reference", "fast")
+
+#: Report key -> ``run_epoch(kernel=...)`` argument.
+RUN_KERNEL = {"reference": "reference", "fast": "auto"}
 
 
 def stats_fingerprint(stats: Any) -> str:
@@ -124,11 +132,9 @@ def bench_scale(
     trainer, splits = _make_trainer(num_samples, seed)
 
     ref = trainer.run_epoch(splits, epoch=1, kernel="reference")
-    fast = trainer.run_epoch(splits, epoch=1, kernel="fast")
+    fast = trainer.run_epoch(splits, epoch=1, kernel="auto")
     identical = stats_fingerprint(ref) == stats_fingerprint(fast)
 
-    # Fault injection bypasses the cursor engine, so this additionally
-    # pins the generator-process path on the optimized kernel.
     faults = (
         FaultSchedule()
         .with_crash(0.3 * ref.epoch_time_s, duration=0.15 * ref.epoch_time_s)
@@ -145,39 +151,62 @@ def bench_scale(
         auto_faulted
     )
 
+    def faulted_traced(kernel: str) -> Any:
+        return trainer.run_epoch(
+            splits, epoch=1, faults=faults, record_spans=True, kernel=kernel
+        )
+
+    ref_traced = faulted_traced("reference")
+    auto_traced = faulted_traced("auto")
+    identical_traced = stats_fingerprint(ref_traced) == stats_fingerprint(
+        auto_traced
+    ) and span_fingerprint(ref_traced) == span_fingerprint(auto_traced)
+    del ref_traced, auto_traced
+
     seconds = {
         kernel: _best_of(
-            lambda k=kernel: trainer.run_epoch(splits, epoch=1, kernel=k),
+            lambda k=RUN_KERNEL[kernel]: trainer.run_epoch(splits, epoch=1, kernel=k),
             repeats,
             timer,
         )
         for kernel in KERNELS
     }
-    fast_s = seconds["fast"]
+    traced_seconds = {
+        kernel: _best_of(
+            lambda k=RUN_KERNEL[kernel]: faulted_traced(k), repeats, timer
+        )
+        for kernel in KERNELS
+    }
     return {
         "num_samples": num_samples,
         "seed": seed,
         "repeats": repeats,
-        "identical": identical and identical_faulted,
+        "identical": identical and identical_faulted and identical_traced,
         "identical_fault_free": identical,
         "identical_faulted": identical_faulted,
-        "epoch_simulation": {
-            "seconds": dict(seconds),
-            "speedup_vs_reference": (
-                seconds["reference"] / fast_s if fast_s > 0 else None
-            ),
-            "fast_us_per_sample": fast_s / num_samples * 1e6,
-        },
+        "identical_faulted_traced": identical_traced,
+        "epoch_simulation": _timing(seconds, num_samples),
+        "faulted_traced_simulation": _timing(traced_seconds, num_samples),
         "epoch_time_s": ref.epoch_time_s,
         "traffic_bytes": ref.traffic_bytes,
+    }
+
+
+def _timing(seconds: Dict[str, float], num_samples: int) -> Dict[str, object]:
+    """Per-kernel best-of seconds, the speedup, and the optimized µs/sample."""
+    fast_s = seconds["fast"]
+    return {
+        "seconds": dict(seconds),
+        "speedup_vs_reference": seconds["reference"] / fast_s if fast_s > 0 else None,
+        "fast_us_per_sample": fast_s / num_samples * 1e6,
     }
 
 
 def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     """Identity gates for every mode the per-scale loop does not time.
 
-    spans/timeline pin the instrumented generator path on the optimized
-    kernel; sharded and multijob pin the engine under per-shard pools and
+    spans/timeline pin the instrumented cursors on the optimized kernel;
+    sharded and multijob pin the engine under per-shard pools and
     fair-queued shared links.
     """
     trainer, splits = _make_trainer(num_samples, seed)
@@ -202,7 +231,7 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     )
     sharded_ok = stats_fingerprint(
         sharded.run_epoch(splits, epoch=0, kernel="reference")
-    ) == stats_fingerprint(sharded.run_epoch(splits, epoch=0, kernel="fast"))
+    ) == stats_fingerprint(sharded.run_epoch(splits, epoch=0, kernel="auto"))
 
     jobs = [
         SharedJob(
@@ -218,7 +247,7 @@ def aux_gates(num_samples: int = 240, seed: int = 7) -> Dict[str, bool]:
     ]
     multi = SharedLinkSim(trainer.spec)
     multi_ref = multi.run_epoch(jobs, epoch=0, kernel="reference")
-    multi_fast = multi.run_epoch(jobs, epoch=0, kernel="fast")
+    multi_fast = multi.run_epoch(jobs, epoch=0, kernel="auto")
     multijob_ok = stats_fingerprint(multi_ref) == stats_fingerprint(multi_fast)
 
     return {
@@ -239,9 +268,10 @@ def allocation_stats(num_samples: int = 400, seed: int = 7) -> Dict[str, object]
     trainer, splits = _make_trainer(num_samples, seed)
     out: Dict[str, object] = {"num_samples": num_samples}
     for kernel in KERNELS:
-        trainer.run_epoch(splits, epoch=1, kernel=kernel)  # warm caches
+        run_kernel = RUN_KERNEL[kernel]
+        trainer.run_epoch(splits, epoch=1, kernel=run_kernel)  # warm caches
         tracemalloc.start()
-        stats = trainer.run_epoch(splits, epoch=1, kernel=kernel)
+        stats = trainer.run_epoch(splits, epoch=1, kernel=run_kernel)
         snapshot = tracemalloc.take_snapshot()
         _, peak = tracemalloc.get_traced_memory()
         tracemalloc.stop()
@@ -303,7 +333,7 @@ def bench_profiler_e2e(
         dataset=dataset, pipeline=pipeline, model=model, spec=spec, seed=seed
     )
     ref = trainer.run_epoch(plan.splits, epoch=1, kernel="reference")
-    fast = trainer.run_epoch(plan.splits, epoch=1, kernel="fast")
+    fast = trainer.run_epoch(plan.splits, epoch=1, kernel="auto")
     return {
         "num_samples": len(dataset),
         "identical": records_identical
@@ -319,7 +349,7 @@ def bench_million(
     seed: int = 7,
     timer: Clock = time.perf_counter,
 ) -> Dict[str, object]:
-    """The headline run: profile, plan and simulate 10^6 samples, fast path.
+    """The headline run: profile, plan and simulate 10^6 samples, optimized path.
 
     Single-shot (no best-of) -- at this scale one pass is minutes of work
     and run-to-run noise is a rounding error on the phase totals.  The
@@ -347,7 +377,7 @@ def bench_million(
         dataset=dataset, pipeline=pipeline, model=model, spec=spec, seed=seed
     )
     started = timer()
-    stats = trainer.run_epoch(plan.splits, epoch=1, kernel="fast")
+    stats = trainer.run_epoch(plan.splits, epoch=1, kernel="auto")
     simulate_s = timer() - started
 
     return {
@@ -419,10 +449,13 @@ def render_summary(report: Dict[str, object]) -> str:
     lines = [f"epoch-simulation speedups vs reference kernel ({report['schema']}):"]
     for entry in report["scales"]:
         sim = entry["epoch_simulation"]
+        traced = entry["faulted_traced_simulation"]
         flag = "" if entry["identical"] else "  [NOT IDENTICAL]"
         lines.append(
             f"  n={entry['num_samples']}: {sim['speedup_vs_reference']:.1f}x "
-            f"({sim['fast_us_per_sample']:.0f} us/sample fast){flag}"
+            f"({sim['fast_us_per_sample']:.0f} us/sample fast); faults+spans "
+            f"{traced['speedup_vs_reference']:.1f}x "
+            f"({traced['fast_us_per_sample']:.0f} us/sample fast){flag}"
         )
     gates = report["gates"]
     failed = [name for name, ok in gates.items() if not ok]

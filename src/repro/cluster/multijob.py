@@ -24,7 +24,7 @@ schedule is byte-identical with or without either.
 import dataclasses
 from typing import Dict, Optional, Sequence, cast
 
-from repro.cluster.engine import launch_training_job_fast
+from repro.cluster.engine import launch_training_job
 from repro.cluster.sim import Environment
 from repro.cluster.spec import ClusterSpec
 from repro.cluster.trainer import (
@@ -119,19 +119,13 @@ class SharedLinkSim:
         record_timeline: attach one per-batch Timeline per job
             (stats.timelines, keyed by job name).
         kernel: same contract as :meth:`TrainerSim.run_epoch` -- "auto"
-            runs every tenant on the batched cursor engine when neither
-            telemetry switch is set, "reference" replays the frozen seed
-            kernel, and all choices are byte-identical.
+            runs every tenant on the batched cursor engine, "reference"
+            replays the frozen seed kernel, and both are byte-identical.
         Neither telemetry switch perturbs the simulated schedule.
         """
         kernel_mod = _kernel_module(kernel)
-        fast_eligible = not record_timeline and not record_spans
-        if kernel == "fast" and not fast_eligible:
-            raise ValueError(
-                "kernel='fast' covers only runs without timeline or spans; "
-                "use kernel='auto' to fall back automatically"
-            )
-        use_engine = kernel != "reference" and fast_eligible
+        reference = kernel == "reference"
+        launch = launch_training_processes if reference else launch_training_job
         names = [job.name for job in jobs]
         if len(set(names)) != len(names):
             raise ValueError(f"job names must be unique, got {names}")
@@ -164,7 +158,7 @@ class SharedLinkSim:
                 seed=job.seed,
             )
             job_splits = list(job.splits) if job.splits is not None else None
-            if kernel == "reference":
+            if reference:
                 work = trainer._epoch_work(job_splits, epoch, job.adjustments)
             else:
                 work = trainer._epoch_work_fast(job_splits, epoch, job.adjustments)
@@ -186,22 +180,17 @@ class SharedLinkSim:
                 flow_key=job.name,
                 job_label=job.name,
             )
-            if use_engine:
-                counters[job.name] = launch_training_job_fast(
-                    env, spec, work, batches, job.model, handles, epoch=epoch
-                )
-            else:
-                counters[job.name] = launch_training_processes(
-                    env,
-                    spec,
-                    work,
-                    batches,
-                    job.model,
-                    handles,
-                    timeline=timelines[job.name] if timelines is not None else None,
-                    tracer=tracer,
-                    epoch=epoch,
-                )
+            counters[job.name] = launch(
+                env,
+                spec,
+                work,
+                batches,
+                job.model,
+                handles,
+                timeline=timelines[job.name] if timelines is not None else None,
+                tracer=tracer,
+                epoch=epoch,
+            )
 
         env.run()
         makespan = env.now

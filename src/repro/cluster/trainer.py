@@ -22,13 +22,14 @@ path.
 """
 
 import dataclasses
+import functools
 import itertools
 from types import ModuleType
-from typing import Callable, Dict, List, Optional, Sequence, cast
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.cluster import refsim as _reference_kernel
 from repro.cluster import sim as _fast_kernel
-from repro.cluster.engine import launch_training_job_fast
+from repro.cluster.engine import _MAX_PAYLOAD_SENDS, launch_training_job
 from repro.cluster.epoch_model import EpochMetrics
 from repro.cluster.sim import Environment, Interrupt, Resource
 from repro.cluster.spec import ClusterSpec
@@ -40,17 +41,13 @@ from repro.preprocessing.pipeline import Pipeline
 from repro.telemetry.spans import Tracer, trace_id
 from repro.workloads.models import ModelProfile
 
-#: Retransmission cap per payload; only reachable when corruption_rate is
-#: so close to 1 that the wire is unusable anyway.
-_MAX_PAYLOAD_SENDS = 25
-
-#: run_epoch(kernel=...) choices.  "auto" takes the batched fast path
-#: wherever it applies and falls back to generator processes on the
-#: optimized kernel otherwise; "fast" demands the batched engine (raising
-#: when the run needs switches it does not carry); "reference" replays the
-#: frozen seed kernel (repro.cluster.refsim) with the sequential work
-#: builder -- the byte-identity baseline the bench gates against.
-KERNEL_CHOICES = ("auto", "fast", "reference")
+#: run_epoch(kernel=...) choices.  "auto" runs the batched cursor engine
+#: (repro.cluster.engine) on the optimized kernel with the vectorized work
+#: builder -- faults, spans and timeline included; "reference" replays the
+#: frozen seed kernel (repro.cluster.refsim) with generator processes and
+#: the sequential work builder -- the byte-identity oracle the bench and
+#: the identity tests gate against.
+KERNEL_CHOICES = ("auto", "reference")
 
 
 def _kernel_module(kernel: str) -> ModuleType:
@@ -89,8 +86,9 @@ class WorkAdjustment:
             raise ValueError(
                 f"adjustment drives sample {work.sample_id} wire size negative"
             )
-        return dataclasses.replace(
-            work,
+        return SampleWork(
+            sample_id=work.sample_id,
+            split=work.split,
             wire_bytes=wire,
             prefix_cpu_s=work.prefix_cpu_s + self.extra_storage_cpu_s,
             suffix_cpu_s=work.suffix_cpu_s + self.extra_compute_cpu_s,
@@ -188,7 +186,12 @@ def launch_training_processes(
     tracer: Optional[Tracer] = None,
     epoch: int = 0,
 ) -> Dict[str, int]:
-    """Register one training job's processes on ``env``.
+    """Register one training job's generator processes on ``env``.
+
+    The driver of the frozen ``kernel="reference"`` oracle (a
+    :mod:`repro.cluster.refsim` environment fed by :meth:`TrainerSim._epoch_work`);
+    the optimized kernel runs the cursor mirror of these processes,
+    :func:`repro.cluster.engine.launch_training_job`.
 
     Returns the job's live traffic counter (key ``"bytes"``); the job is
     finished when the environment drains (or when the returned
@@ -546,17 +549,35 @@ class TrainerSim:
         ``sum(costs[:split])`` uses.  Validation errors carry the same
         messages, raised at the same sample.
         """
+        return self._batch_work(splits, epoch, adjustments)[0]
+
+    def _batch_work(
+        self,
+        splits: Optional[Sequence[int]],
+        epoch: int,
+        adjustments: Optional[Dict[int, "WorkAdjustment"]] = None,
+        fallback: bool = False,
+    ) -> Tuple[Dict[int, SampleWork], Optional[Callable[[int], SampleWork]]]:
+        """:meth:`_epoch_work_fast` plus, when ``fallback`` is set, the
+        split-0 (No-Off) work a demoted sample falls back to.
+
+        The fallback equals ``sample_work(i, 0, epoch)`` for every id (no
+        adjustments applied): raw size ``sizes[:, 0]`` and the column
+        left-fold from 0, read off the same ``simulate_batch`` matrices
+        instead of re-simulating the sample.
+        """
         from repro.parallel.vectorized import simulate_batch
 
         ids = list(self.dataset.sample_ids())
-        if not ids:
-            return {}
         raw_metas = [self.dataset.raw_meta(i) for i in ids]
-        kind = raw_metas[0].kind
-        if any(meta.kind is not kind for meta in raw_metas):
+        kind = raw_metas[0].kind if raw_metas else None
+        if not ids or any(meta.kind is not kind for meta in raw_metas):
             # The batch simulator wants one payload kind per batch; rare
             # mixed-kind datasets take the sequential reference instead.
-            return self._epoch_work(splits, epoch, adjustments)
+            work = self._epoch_work(splits, epoch, adjustments)
+            if not fallback:
+                return work, None
+            return work, functools.partial(self.sample_work, split=0, epoch=epoch)
         sizes, costs = simulate_batch(
             self.pipeline, raw_metas, ids, seed=self.seed, epoch=epoch
         )
@@ -619,7 +640,29 @@ class TrainerSim:
                     "has no storage cores; clamp the plan first"
                 )
             work[sample_id] = item
-        return work
+        if not fallback:
+            return work, None
+
+        size0 = sizes[:, 0].tolist()
+        suffix0: List[float] = [0] * n  # type: ignore[list-item]
+        if n_ops > 0:
+            acc = costs[:, 0].copy()
+            for col in range(1, n_ops):
+                acc = acc + costs[:, col]
+            suffix0 = acc.tolist()
+        row_of = dict(zip(ids, range(n)))
+
+        def fallback_work(sample_id: int) -> SampleWork:
+            row = row_of[sample_id]
+            return SampleWork(
+                sample_id=sample_id,
+                split=0,
+                wire_bytes=size0[row],
+                prefix_cpu_s=0,
+                suffix_cpu_s=suffix0[row],
+            )
+
+        return work, fallback_work
 
     # -- simulation -----------------------------------------------------------
 
@@ -688,13 +731,13 @@ class TrainerSim:
         record_spans: attach a per-sample span Tracer (stats.spans) whose
             clock is the simulator's virtual time; the simulated schedule
             is identical with or without it.
-        kernel: "auto" (default) runs the batched cursor engine on the
-            optimized kernel when the run carries no faults/timeline/spans
-            and generator processes otherwise; "fast" insists on the
-            batched engine (ValueError when ineligible); "reference"
-            replays the frozen seed kernel end to end.  All three produce
-            byte-identical stats -- the contract ``repro.cluster.bench``
-            gates on.
+        kernel: "auto" (default) runs the batched cursor engine
+            (:func:`repro.cluster.engine.launch_training_job`) on the
+            optimized kernel -- faults, spans and timeline included;
+            "reference" replays the frozen seed kernel with generator
+            processes end to end.  Both produce byte-identical stats, fault
+            reports and span streams -- the contract
+            ``repro.cluster.bench`` gates on.
         """
         kernel_mod = _kernel_module(kernel)
         if splits is not None and len(splits) != len(self.dataset):
@@ -703,27 +746,19 @@ class TrainerSim:
             )
         if faults is not None and faults.is_empty:
             faults = None
-        fast_eligible = faults is None and not record_timeline and not record_spans
-        if kernel == "fast" and not fast_eligible:
-            raise ValueError(
-                "kernel='fast' covers only fault-free runs without timeline or "
-                "spans; use kernel='auto' to fall back automatically"
-            )
-        use_engine = kernel != "reference" and fast_eligible
+        reference = kernel == "reference"
 
-        if kernel == "reference":
+        fallback_work: Optional[Callable[[int], SampleWork]] = None
+        if reference:
             work = self._epoch_work(splits, epoch, adjustments)
+            if faults is not None:
+                fallback_work = functools.partial(self.sample_work, split=0, epoch=epoch)
         else:
-            work = self._epoch_work_fast(splits, epoch, adjustments)
+            work, fallback_work = self._batch_work(
+                splits, epoch, adjustments, fallback=faults is not None
+            )
         batches = list(BatchSampler(self.sampler, self.batch_size).epoch_batches(epoch))
         fault_report = FaultReport() if faults is not None else None
-        fallback_cache: Dict[int, SampleWork] = {}
-
-        def fallback_work(sample_id: int) -> SampleWork:
-            """The split-0 (No-Off) work a demoted sample falls back to."""
-            if sample_id not in fallback_cache:
-                fallback_cache[sample_id] = self.sample_work(sample_id, 0, epoch)
-            return fallback_cache[sample_id]
 
         # The two kernels are duck-compatible; refsim environments carry
         # refsim resources (built below), so the cast is safe.
@@ -732,25 +767,21 @@ class TrainerSim:
         handles = self._build_handles(env, kernel_mod)
         timeline = Timeline() if record_timeline else None
         tracer = Tracer(clock=lambda: env.now) if record_spans else None
-        if use_engine:
-            traffic = launch_training_job_fast(
-                env, spec, work, batches, self.model, handles, epoch=epoch
-            )
-        else:
-            traffic = launch_training_processes(
-                env,
-                spec,
-                work,
-                batches,
-                self.model,
-                handles,
-                timeline=timeline,
-                faults=faults,
-                fault_report=fault_report,
-                fallback_work=fallback_work if faults is not None else None,
-                tracer=tracer,
-                epoch=epoch,
-            )
+        launch = launch_training_processes if reference else launch_training_job
+        traffic = launch(
+            env,
+            spec,
+            work,
+            batches,
+            self.model,
+            handles,
+            timeline=timeline,
+            faults=faults,
+            fault_report=fault_report,
+            fallback_work=fallback_work,
+            tracer=tracer,
+            epoch=epoch,
+        )
         env.run()
 
         horizon = env.now

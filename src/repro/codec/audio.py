@@ -14,6 +14,7 @@ import zlib
 import numpy as np
 
 from repro.codec.errors import CorruptStreamError, UnsupportedImageError
+from repro.codec.progressive import inflate_exact
 
 _MAGIC = b"TAUD"
 _VERSION = 1
@@ -57,15 +58,13 @@ class ToyFlacCodec:
             raise CorruptStreamError(f"bad magic {magic!r}")
         if version != _VERSION:
             raise CorruptStreamError(f"unsupported version {version}")
-        try:
-            raw = zlib.decompress(data[_HEADER.size :])
-        except zlib.error as exc:
-            raise CorruptStreamError(f"deflate stream corrupt: {exc}") from exc
+        # Capped at the header's sample count: a deflate bomb behind a small
+        # header fails after 2 * num_samples + 1 bytes, not at its full size.
+        raw = inflate_exact(
+            data[_HEADER.size :], 2 * num_samples,
+            what=f"payload of {num_samples} samples",
+        )
         residuals = np.frombuffer(raw, dtype="<i2")
-        if len(residuals) != num_samples:
-            raise CorruptStreamError(
-                f"header says {num_samples} samples, payload has {len(residuals)}"
-            )
         # Undo the first-order prediction modulo 2^16 (int16 wraparound).
         pcm = np.cumsum(residuals.astype(np.int64)) % 65536
         pcm = np.where(pcm >= 32768, pcm - 65536, pcm).astype(np.int16)

@@ -214,11 +214,13 @@ def _parse_stream(data: bytes) -> _ParsedStream:
     )
 
 
-def _inflate_exact(payload: bytes, expected_bytes: int) -> bytes:
+def inflate_exact(payload: bytes, expected_bytes: int, what: str = "scan payload") -> bytes:
     """Inflate ``payload``, requiring exactly ``expected_bytes`` out.
 
-    Decompression is capped at the expected size, so a hostile directory
-    cannot drive a huge allocation through a deflate bomb.
+    Decompression is capped at the expected size, so a hostile header
+    cannot drive a huge allocation through a deflate bomb; a short,
+    oversized, truncated or trailing-garbage payload raises
+    :class:`CorruptStreamError` naming ``what``.
     """
     inflater = zlib.decompressobj()
     try:
@@ -227,7 +229,7 @@ def _inflate_exact(payload: bytes, expected_bytes: int) -> bytes:
         raise CorruptStreamError(f"deflate stream corrupt: {exc}") from exc
     if len(raw) != expected_bytes or not inflater.eof or inflater.unused_data:
         raise CorruptStreamError(
-            f"scan payload inflates to {len(raw)}+ bytes, expected {expected_bytes}"
+            f"{what} inflates to {len(raw)}+ bytes, expected {expected_bytes}"
         )
     return raw
 
@@ -336,7 +338,7 @@ class ProgressiveJpegCodec:
                 lo, hi = parsed.band_range(scan)
                 start = offset_base[scan] + sum(parsed.lengths[scan][:index])
                 payload = data[start : start + parsed.lengths[scan][index]]
-                raw = _inflate_exact(payload, blocks * (hi - lo) * 2)
+                raw = inflate_exact(payload, blocks * (hi - lo) * 2)
                 band = np.frombuffer(raw, dtype="<i2").reshape(blocks, hi - lo)
                 flat[:, lo:hi] = band
             table = luma_table if index == 0 else chroma_table

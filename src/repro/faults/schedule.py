@@ -167,8 +167,16 @@ class FaultSchedule:
             and is_exact_zero(self.corruption_rate)
         )
 
+    # The point queries below run once per simulated step under faults, so
+    # they scan the windows in place (no per-call list or method call);
+    # each returns exactly what ``any``/``min``/``max`` over the covering
+    # windows would, ties resolved to the first window like those builtins.
+
     def storage_down(self, t: float) -> bool:
-        return any(w.covers(t) for w in self.crashes)
+        for w in self.crashes:
+            if w.start <= t < w.end:
+                return True
+        return False
 
     def restart_time(self, t: float) -> Optional[float]:
         """When the storage node covering ``t`` comes back (None if up)."""
@@ -182,16 +190,25 @@ class FaultSchedule:
 
     def bandwidth_factor(self, t: float) -> float:
         """Remaining link bandwidth fraction at ``t`` (worst covering window)."""
-        factors = [w.bandwidth_factor for w in self.brownouts if w.covers(t)]
-        return min(factors) if factors else 1.0
+        factor: Optional[float] = None
+        for w in self.brownouts:
+            if w.start <= t < w.end and (factor is None or w.bandwidth_factor < factor):
+                factor = w.bandwidth_factor
+        return 1.0 if factor is None else factor
 
     def extra_rtt_s(self, t: float) -> float:
-        extras = [w.extra_rtt_s for w in self.brownouts if w.covers(t)]
-        return max(extras) if extras else 0.0
+        extra: Optional[float] = None
+        for w in self.brownouts:
+            if w.start <= t < w.end and (extra is None or w.extra_rtt_s > extra):
+                extra = w.extra_rtt_s
+        return 0.0 if extra is None else extra
 
     def storage_cpu_factor(self, t: float) -> float:
-        factors = [w.factor for w in self.cpu_drifts if w.covers(t)]
-        return max(factors) if factors else 1.0
+        factor: Optional[float] = None
+        for w in self.cpu_drifts:
+            if w.start <= t < w.end and (factor is None or w.factor > factor):
+                factor = w.factor
+        return 1.0 if factor is None else factor
 
     def corrupts(self, message_index: int) -> bool:
         """Seeded per-message corruption coin (stable across runs)."""

@@ -45,6 +45,10 @@ from repro.telemetry.spans import TRACE_HEADER, Tracer, parse_trace_header
 #: up on the worker -- covers the response hand-off itself.
 _DEADLINE_GRACE_S = 0.05
 
+#: Largest request body a handler reads.  A plan request is a few hundred
+#: bytes; a longer declared ``Content-Length`` is answered 413 unread.
+MAX_BODY_BYTES = 64 * 1024
+
 #: Disturbance hook signature: request index -> extra seconds of delay
 #: injected before planning (the chaos brownout / CPU-drift lever).
 Disturbance = Callable[[int], float]
@@ -616,17 +620,34 @@ def _make_handler(service: DecisionService) -> Type[http.server.BaseHTTPRequestH
             self._respond(401, {"error": "missing or invalid bearer token"})
             return False
 
-        def _json_body(self) -> Optional[Dict[str, object]]:
+        def _json_body(self) -> Tuple[Optional[Dict[str, object]], str]:
+            """The request's JSON object, or None and the refusal's outcome.
+
+            ``Content-Length`` must be a plain decimal integer (400 otherwise,
+            negative values included) no larger than ``MAX_BODY_BYTES``
+            (413); only then is the body read.
+            """
+            declared = self.headers.get("Content-Length", "0").strip()
+            if not (declared.isascii() and declared.isdigit()):
+                self._respond(
+                    400, {"error": "Content-Length must be a non-negative integer"}
+                )
+                return None, "bad_request"
+            length = int(declared)
+            if length > MAX_BODY_BYTES:
+                self._respond(
+                    413, {"error": f"request body exceeds {MAX_BODY_BYTES} bytes"}
+                )
+                return None, "too_large"
             try:
-                length = int(self.headers.get("Content-Length", "0"))
                 body = json.loads(self.rfile.read(length) or b"{}")
             except (ValueError, TypeError):
                 self._respond(400, {"error": "request body is not valid JSON"})
-                return None
+                return None, "bad_request"
             if not isinstance(body, dict):
                 self._respond(400, {"error": "request body must be an object"})
-                return None
-            return body
+                return None, "bad_request"
+            return body, "ok"
 
         def _deadline_s(self) -> Optional[float]:
             header = self.headers.get("X-Sophon-Deadline-S")
@@ -689,10 +710,9 @@ def _make_handler(service: DecisionService) -> Type[http.server.BaseHTTPRequestH
                 self._observe(self.path.rsplit("/", 1)[-1], "unauthorized",
                               started)
                 return
-            body = self._json_body()
+            body, outcome = self._json_body()
             if body is None:
-                self._observe(self.path.rsplit("/", 1)[-1], "bad_request",
-                              started)
+                self._observe(self.path.rsplit("/", 1)[-1], outcome, started)
                 return
             trace = parse_trace_header(self.headers.get(TRACE_HEADER))
             if self.path == "/v1/plan":

@@ -25,7 +25,7 @@ from typing import Deque, Dict, List, Optional, Tuple
 
 from repro.telemetry.clock import Clock, LogicalClock
 from repro.telemetry.logs import LogRecord, render_logfmt
-from repro.telemetry.spans import BEGIN, END, INSTANT, SpanEvent, Tracer
+from repro.telemetry.spans import BEGIN, END, INSTANT, SpanEvent, Tracer, make_event
 
 
 @dataclasses.dataclass(frozen=True)
@@ -73,9 +73,7 @@ class FlightRecorder:
         self, trace: str, name: str, phase: str, attrs: Dict[str, object]
     ) -> SpanEvent:
         with self._lock:
-            event = SpanEvent(
-                trace_id=trace, name=name, phase=phase, t_s=self.clock(), attrs=attrs
-            )
+            event = make_event(trace, name, phase, self.clock(), attrs)
             self._spans.append(event)
             self._span_total += 1
             if self.tee is not None:

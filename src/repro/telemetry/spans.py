@@ -79,14 +79,25 @@ def parse_trace_header(value: Optional[str]) -> Optional[str]:
     return value
 
 
+class _SpanEventSlots:
+    """Storage for :class:`SpanEvent` fields (slots keep a span at one
+    GC-tracked object with no per-instance dict; defined on a base class
+    because a dataclass field default cannot share a class with its slot
+    before Python 3.10's ``slots=True``)."""
+
+    __slots__ = ("trace_id", "name", "phase", "t_s", "attrs")
+
+
 @dataclasses.dataclass(frozen=True)
-class SpanEvent:
+class SpanEvent(_SpanEventSlots):
     """One structured event on one trace.
 
     attrs values must be JSON-representable scalars (str/int/float/bool);
     exporters serialize them with sorted keys so identical runs produce
     identical bytes.
     """
+
+    __slots__ = ()
 
     trace_id: str
     name: str
@@ -97,6 +108,39 @@ class SpanEvent:
     def __post_init__(self) -> None:
         if self.phase not in (BEGIN, END, INSTANT):
             raise ValueError(f"bad span phase {self.phase!r}")
+
+    def __reduce__(self) -> Tuple[type, Tuple[str, str, str, float, Mapping[str, object]]]:
+        # Copies and pickles rebuild through __init__ (slot state cannot be
+        # restored by setattr on a frozen instance).
+        return (SpanEvent, (self.trace_id, self.name, self.phase, self.t_s, self.attrs))
+
+
+_new_event = object.__new__
+_set_trace_id = _SpanEventSlots.trace_id.__set__  # type: ignore[attr-defined]
+_set_name = _SpanEventSlots.name.__set__  # type: ignore[attr-defined]
+_set_phase = _SpanEventSlots.phase.__set__  # type: ignore[attr-defined]
+_set_t_s = _SpanEventSlots.t_s.__set__  # type: ignore[attr-defined]
+_set_attrs = _SpanEventSlots.attrs.__set__  # type: ignore[attr-defined]
+
+
+def make_event(
+    trace: str, name: str, phase: str, t_s: float, attrs: Dict[str, object]
+) -> SpanEvent:
+    """A :class:`SpanEvent` built without the frozen ``__init__``.
+
+    For emitters passing one of the module's phase constants, so the
+    ``__post_init__`` check has nothing to catch: the slots are filled
+    directly, skipping five ``object.__setattr__`` calls and the check.
+    Fields, equality, repr and every exporter's bytes are those of a
+    public construction; ``attrs`` is stored as given (not copied).
+    """
+    event = _new_event(SpanEvent)
+    _set_trace_id(event, trace)
+    _set_name(event, name)
+    _set_phase(event, phase)
+    _set_t_s(event, t_s)
+    _set_attrs(event, attrs)
+    return event
 
 
 class Tracer:
@@ -110,24 +154,25 @@ class Tracer:
         self.clock: Clock = clock if clock is not None else LogicalClock()
         self.events: List[SpanEvent] = []
 
-    def _emit(self, trace: str, name: str, phase: str, attrs: Dict[str, object]) -> SpanEvent:
-        event = SpanEvent(
-            trace_id=trace, name=name, phase=phase, t_s=self.clock(), attrs=attrs
-        )
-        self.events.append(event)
-        return event
+    # ``**attrs`` is a fresh dict on every call, so events keep it as is.
 
     def begin(self, trace: str, name: str, **attrs: object) -> SpanEvent:
         """Open a phase on a trace (pair with :meth:`end`)."""
-        return self._emit(trace, name, BEGIN, dict(attrs))
+        event = make_event(trace, name, BEGIN, self.clock(), attrs)
+        self.events.append(event)
+        return event
 
     def end(self, trace: str, name: str, **attrs: object) -> SpanEvent:
         """Close the innermost open phase of this name on the trace."""
-        return self._emit(trace, name, END, dict(attrs))
+        event = make_event(trace, name, END, self.clock(), attrs)
+        self.events.append(event)
+        return event
 
     def instant(self, trace: str, name: str, **attrs: object) -> SpanEvent:
         """A point event: demotion, retry, breaker transition, cache hit."""
-        return self._emit(trace, name, INSTANT, dict(attrs))
+        event = make_event(trace, name, INSTANT, self.clock(), attrs)
+        self.events.append(event)
+        return event
 
     @contextlib.contextmanager
     def span(self, trace: str, name: str, **attrs: object) -> Iterator[None]:

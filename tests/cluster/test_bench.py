@@ -37,6 +37,15 @@ def test_bench_scale_shape_and_identity_gate():
     assert sim["fast_us_per_sample"] > 0
 
 
+def test_bench_scale_times_the_faulted_traced_epoch():
+    result = bench_scale(60, repeats=1, timer=ticking_clock())
+    assert result["identical_faulted_traced"] is True
+    traced = result["faulted_traced_simulation"]
+    assert set(traced["seconds"]) == set(KERNELS)
+    assert traced["speedup_vs_reference"] > 0
+    assert traced["fast_us_per_sample"] > 0
+
+
 def test_aux_gates_all_identical():
     gates = aux_gates(num_samples=64, seed=7)
     assert gates == {

@@ -1,5 +1,9 @@
 """Toy FLAC codec tests."""
 
+import struct
+import tracemalloc
+import zlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -75,3 +79,49 @@ class TestRobustness:
             ToyFlacCodec().decode(data)
         except CorruptStreamError:
             pass
+
+
+class TestBoundedInflate:
+    @staticmethod
+    def _stream(num_samples: int, payload: bytes) -> bytes:
+        return struct.pack("<4sBII", b"TAUD", 1, 16_000, num_samples) + payload
+
+    @staticmethod
+    def _zeros_bomb(compressed_bytes: int) -> bytes:
+        """A deflate stream of zeros about ``compressed_bytes`` long
+        (~1000x that once inflated), built without holding the zeros."""
+        deflater = zlib.compressobj(9)
+        chunk = bytes(1 << 20)
+        out = []
+        size = 0
+        while size < compressed_bytes:
+            piece = deflater.compress(chunk)
+            out.append(piece)
+            size += len(piece)
+        out.append(deflater.flush())
+        return b"".join(out)
+
+    def test_deflate_bomb_is_refused_at_the_header_cap(self):
+        # A 204 KB stream behind a 10-sample header: uncapped, it inflates
+        # to hundreds of MB before the length check can refuse it.
+        bomb = self._stream(10, self._zeros_bomb(204_000))
+        assert len(bomb) >= 204_000
+        tracemalloc.start()
+        try:
+            with pytest.raises(CorruptStreamError, match="payload of 10 samples"):
+                ToyFlacCodec().decode(bomb)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # A few copies of the input at most (slice, unconsumed tail); the
+        # inflated output never passes 2 * 10 + 1 bytes.
+        assert peak < 1 << 20
+
+    def test_short_payload_is_refused(self):
+        with pytest.raises(CorruptStreamError):
+            ToyFlacCodec().decode(self._stream(10, zlib.compress(bytes(18))))
+
+    def test_trailing_garbage_is_refused(self, rng):
+        data = ToyFlacCodec().encode(generate_clip(rng, 100, 0.5))
+        with pytest.raises(CorruptStreamError):
+            ToyFlacCodec().decode(data + b"\x00")

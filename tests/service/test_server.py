@@ -302,3 +302,45 @@ class TestObservability:
         status, _, parsed, _ = client._request("GET", "/v1/nope")
         assert status == 404
         assert "no such endpoint" in str(parsed["error"])
+
+
+class TestBodyLimits:
+    """``Content-Length`` is validated before a single body byte is read."""
+
+    @staticmethod
+    def _post(live_service, length: str, body: bytes = b""):
+        import http.client
+        import json
+
+        host, port = live_service.address
+        conn = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            conn.putrequest("POST", "/v1/plan", skip_accept_encoding=True)
+            conn.putheader("Authorization", f"Bearer {live_service.config.token}")
+            conn.putheader("Content-Length", length)
+            conn.endheaders(body)
+            response = conn.getresponse()
+            return response.status, json.loads(response.read())
+        finally:
+            conn.close()
+
+    @pytest.mark.parametrize("length", ["-5", "12.5", "0x10", "ten", "1_0", ""])
+    def test_malformed_lengths_are_400(self, live_service, length):
+        status, body = self._post(live_service, length, b"{}")
+        assert status == 400
+        assert "Content-Length" in body["error"]
+
+    def test_oversized_length_is_413(self, live_service):
+        from repro.service.server import MAX_BODY_BYTES
+
+        status, body = self._post(live_service, str(MAX_BODY_BYTES + 1), b"{}")
+        assert status == 413
+        assert str(MAX_BODY_BYTES) in body["error"]
+
+    def test_body_at_the_cap_is_read(self, live_service):
+        from repro.service.server import MAX_BODY_BYTES
+
+        payload = b"[" + b" " * (MAX_BODY_BYTES - 2) + b"]"
+        status, body = self._post(live_service, str(len(payload)), payload)
+        assert status == 400  # read in full, then refused as a non-object
+        assert "must be an object" in body["error"]
